@@ -6,22 +6,48 @@ becomes its child.  The clock is injectable, so tests drive a fake
 monotonic counter and assert exact span durations and nesting without ever
 sleeping; production code gets :func:`time.perf_counter`.
 
-Spans are cheap (one clock read on enter, one on exit, ``__slots__``
-objects) and bounded: past ``max_spans`` recorded spans the tracer keeps
-timing but stops *storing*, counting the overflow in ``dropped`` — a
-long-running server cannot leak memory through its own instrumentation.
-Export as a pretty-printed tree (:meth:`Tracer.render`) or one JSON object
-per span (:meth:`Tracer.to_jsonl`, :meth:`Tracer.write_jsonl`).
+Storage is a packed log, not an object forest: each finished span is one
+fixed-width binary row (interned name id, span id, parent span id, start,
+end; 36 bytes) appended to a bytearray, so a stored span creates no
+GC-tracked object.  Metadata is stored only for spans that carry it: a
+12-byte row (span id, interned key-tuple id) plus the values, appended to
+one flat list.  The readers (:attr:`Tracer.roots`, :meth:`Tracer.walk`,
+:meth:`Tracer.render`, the exports) rebuild :class:`Span` trees from the
+log on demand and cache them until the next record, so a long-running
+server pays for trees only when someone reads them.
+
+Spans are bounded: past ``max_spans`` stored rows the tracer keeps timing
+but stops *storing*, counting the overflow in ``dropped`` — a long-running
+server cannot leak memory through its own instrumentation.  The decision is
+made when a span finishes, and children finish before their parent, so a
+span dropped at the cap leaves its already-stored children counted but
+unreachable from the roots.  Export as a pretty-printed tree
+(:meth:`Tracer.render`) or one JSON object per span (:meth:`Tracer.to_jsonl`,
+:meth:`Tracer.write_jsonl`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import struct
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-#: Default cap on stored spans (the forest, not the stack).
+#: Default cap on stored spans (the log, not the stack).
 MAX_SPANS = 100_000
+
+#: Parent id of a root span.
+_NO_PARENT = -1
+
+#: One stored span: name id, span id, parent span id, start, end.  One
+#: packed row appends about 2.5x faster than five parallel ``array``
+#: appends (CPython 3.11, x86-64), and the exit path runs once per span.
+_ROW = struct.Struct("<iqqdd")
+_ROW_SIZE = _ROW.size
+_pack_row = _ROW.pack
+#: One metadata write: span id, key-tuple id.
+_META_ROW = struct.Struct("<qi")
 
 
 def _sanitize_meta(value: object) -> object:
@@ -80,41 +106,68 @@ _NULL_CONTEXT = _NullSpanContext()
 
 
 class _SpanContext:
-    """Live span context manager (a class, not a generator, for speed)."""
+    """A live span: its own context manager and the handle ``with`` binds.
 
-    __slots__ = ("_tracer", "_name", "_meta", "_span")
+    While open it is what :attr:`Tracer.current` returns.  When it exits it
+    becomes one log row and the handle keeps only its span id, so assigning
+    :attr:`meta` after the ``with`` block still reaches the stored span
+    (in-place edits of the old dict after exit do not).
+    """
+
+    __slots__ = ("_tracer", "name", "_meta", "start", "end", "_id",
+                 "_stored")
 
     def __init__(self, tracer: "Tracer", name: str,
                  meta: Optional[Dict[str, object]]) -> None:
         self._tracer = tracer
-        self._name = name
+        self.name = name
         self._meta = meta
+        self._stored = False
 
-    def __enter__(self) -> Span:
+    @property
+    def meta(self) -> Optional[Dict[str, object]]:
+        return self._meta
+
+    @meta.setter
+    def meta(self, value: Optional[Dict[str, object]]) -> None:
+        self._meta = value
+        if self._stored:
+            self._tracer._store_meta(self._id, value or {})
+
+    def __enter__(self) -> "_SpanContext":
+        # Bookkeeping sits between the two clock reads where it can, as
+        # the object-forest recorder's did, so the share of time no span
+        # covers measures the program, not the tracer.
         tracer = self._tracer
-        span = Span(self._name, tracer.clock(), self._meta)
-        tracer._stack.append(span)
-        self._span = span
-        return span
+        self.start = tracer.clock()
+        self._id = next(tracer._ids)
+        tracer._stack.append(self)
+        return self
 
     def __exit__(self, *exc) -> bool:
         tracer = self._tracer
-        span = self._span
-        span.end = tracer.clock()
         stack = tracer._stack
         # Unwind to this span even if inner contexts leaked (exceptions).
-        while stack and stack[-1] is not span:
+        while stack and stack[-1] is not self:
             stack.pop()
         if stack:
             stack.pop()
-        if tracer._recorded >= tracer.max_spans:
+        rows = tracer._rows
+        if len(rows) >= tracer.max_spans * _ROW_SIZE:
+            self.end = tracer.clock()
             tracer.dropped += 1
             return False
-        tracer._recorded += 1
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            tracer.roots.append(span)
+        # Inlined row write: this is the per-span hot path.
+        name_id = tracer._name_ids.get(self.name)
+        if name_id is None:
+            name_id = tracer._intern(self.name)
+        self.end = tracer.clock()
+        self._stored = True
+        rows += _pack_row(name_id, self._id,
+                          stack[-1]._id if stack else _NO_PARENT,
+                          self.start, self.end)
+        if self._meta:
+            tracer._store_meta(self._id, self._meta)
         return False
 
 
@@ -139,10 +192,10 @@ class Tracer:
         self.clock = clock
         self.max_spans = max_spans
         self.enabled = enabled
-        self.roots: List[Span] = []
-        self.dropped = 0
-        self._stack: List[Span] = []
-        self._recorded = 0
+        # Span ids are never reused, not even across reset(): a handle kept
+        # from before a reset writes its metadata to no current row.
+        self._ids = itertools.count()
+        self.reset()
 
     # ------------------------------------------------------------------
     def span(self, name: str, **meta: object):
@@ -159,15 +212,82 @@ class Tracer:
         return _SpanContext(self, name, meta or None)
 
     @property
-    def current(self) -> Optional[Span]:
+    def current(self) -> Optional[_SpanContext]:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
     def reset(self) -> None:
-        self.roots = []
+        """Forget every stored span and the open-span stack.  A span open
+        across the reset is stored when it exits, without the children it
+        stored before."""
         self.dropped = 0
-        self._stack = []
-        self._recorded = 0
+        self._stack: List[_SpanContext] = []
+        self._names: List[str] = []
+        self._name_ids: Dict[str, int] = {}
+        self._keysets: List[tuple] = []
+        self._keyset_ids: Dict[tuple, int] = {}
+        self._rows = bytearray()
+        # A later metadata row for the same span id wins.
+        self._meta_rows = bytearray()
+        self._meta_values: List[object] = []
+        # Span trees built from the log, valid while its size is unchanged.
+        self._forest: List[Span] = []
+        self._forest_size = (0, 0)
+
+    # ------------------------------------------------------------------
+    # the log
+    # ------------------------------------------------------------------
+    def _intern(self, name: str) -> int:
+        """The id of ``name``, assigning the next one on first use."""
+        name_id = self._name_ids.get(name)
+        if name_id is None:
+            name_id = self._name_ids[name] = len(self._names)
+            self._names.append(name)
+        return name_id
+
+    def _store_meta(self, span_id: int, meta: Dict[str, object]) -> None:
+        keys = tuple(meta)
+        keys_id = self._keyset_ids.get(keys)
+        if keys_id is None:
+            keys_id = self._keyset_ids[keys] = len(self._keysets)
+            self._keysets.append(keys)
+        self._meta_rows += _META_ROW.pack(span_id, keys_id)
+        self._meta_values.extend(meta.values())
+
+    @property
+    def roots(self) -> List[Span]:
+        """The stored forest as :class:`Span` trees, rebuilt from the log
+        on first read after a record.  Children (and roots) appear in the
+        order they were stored; spans whose parent was never stored (it hit
+        the cap or never exited) are unreachable."""
+        size = (len(self._rows), len(self._meta_rows))
+        if size != self._forest_size:
+            self._forest = self._build_forest()
+            self._forest_size = size
+        return self._forest
+
+    def _build_forest(self) -> List[Span]:
+        # Unpack copies: another thread may record while this one reads (a
+        # span that exits after its patch was removed), and a bytearray
+        # cannot grow while iter_unpack holds a buffer export of it.
+        rows = bytes(self._rows)
+        metas: Dict[int, Optional[Dict[str, object]]] = {}
+        values = iter(self._meta_values)
+        for span_id, keys_id in _META_ROW.iter_unpack(bytes(self._meta_rows)):
+            keys = self._keysets[keys_id]
+            metas[span_id] = dict(zip(keys, values)) or None
+        by_id: Dict[int, Span] = {}
+        for name_id, span_id, _, start, end in _ROW.iter_unpack(rows):
+            span = Span(self._names[name_id], start, metas.get(span_id))
+            span.end = end
+            by_id[span_id] = span
+        roots: List[Span] = []
+        for _, span_id, parent_id, _, _ in _ROW.iter_unpack(rows):
+            if parent_id == _NO_PARENT:
+                roots.append(by_id[span_id])
+            elif parent_id in by_id:
+                by_id[parent_id].children.append(by_id[span_id])
+        return roots
 
     # ------------------------------------------------------------------
     def walk(self) -> Iterator[Tuple[int, Span]]:
@@ -190,7 +310,7 @@ class Tracer:
             head = max(1, max_roots // 2)
             tail = max_roots - head
             elided = len(roots) - head - tail
-            roots = roots[:head] + roots[len(self.roots) - tail:]
+            roots = roots[:head] + roots[len(roots) - tail:]
         lines = []
         for i, root in enumerate(roots):
             if elided and i == max(1, (max_roots or 0) // 2):
@@ -232,39 +352,34 @@ class Tracer:
 
         Absorbed roots become children of the innermost *open* span when
         one is active (so worker traces nest under the parent's fan-out
-        span), or new roots otherwise.  The stored-span cap applies: spans
-        past ``max_spans`` are counted in :attr:`dropped`, children-first,
-        the same budget live recording uses.  Returns the number stored.
+        span), or new roots otherwise.  The stored-span cap applies
+        parent-first: a record arriving past ``max_spans`` is counted in
+        :attr:`dropped` together with its whole subtree.  Returns the
+        number stored.
         """
         stored = 0
 
         def subtree_size(record: Dict[str, object]) -> int:
             return 1 + sum(subtree_size(c) for c in record.get("children", ()))
 
-        def rebuild(record: Dict[str, object]) -> Optional[Span]:
+        def graft(record: Dict[str, object], parent_id: int) -> None:
             nonlocal stored
-            if self._recorded >= self.max_spans:
+            if len(self._rows) >= self.max_spans * _ROW_SIZE:
                 self.dropped += subtree_size(record)
-                return None
-            self._recorded += 1
+                return
             stored += 1
-            span = Span(record["name"], float(record["start"]),
-                        dict(record["meta"]) if record.get("meta") else None)
-            span.end = float(record["end"])
-            span.children = [c for c in (rebuild(child) for child in
-                                         record.get("children", ()))
-                             if c is not None]
-            return span
+            span_id = next(self._ids)
+            self._rows += _pack_row(self._intern(record["name"]), span_id,
+                                    parent_id, float(record["start"]),
+                                    float(record["end"]))
+            if record.get("meta"):
+                self._store_meta(span_id, record["meta"])
+            for child in record.get("children", ()):
+                graft(child, span_id)
 
-        parent = self._stack[-1] if self._stack else None
+        parent_id = self._stack[-1]._id if self._stack else _NO_PARENT
         for record in spans:
-            span = rebuild(record)
-            if span is None:
-                continue
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                self.roots.append(span)
+            graft(record, parent_id)
         return stored
 
     def to_jsonl(self) -> str:

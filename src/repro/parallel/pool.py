@@ -17,7 +17,10 @@ tolerance:
   map or silently dropping items;
 * results are reassembled **by task index**, so the returned list is in
   input order no matter which worker finished when, and a retried task
-  whose first result arrives late is discarded, not double-counted.
+  whose first result arrives late is discarded, not double-counted;
+* each worker reports on a **result pipe of its own**, written
+  synchronously, so a worker killed mid-write can garble or wedge only its
+  own channel — never a lock or a stream the other workers share.
 
 Observability rides along: each task executes against a fresh
 :class:`~repro.obs.Observability` (reachable from task code via
@@ -38,12 +41,12 @@ import itertools
 import math
 import multiprocessing
 import os
-import queue as stdlib_queue
 import signal
 import time
 import traceback
 from collections import deque
 from contextlib import contextmanager
+from multiprocessing.connection import wait
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -156,11 +159,11 @@ def _maybe_export(obs: Observability) -> Optional[Dict[str, object]]:
     return exported
 
 
-def _worker_main(worker_id: int, conn, result_q, initializer, initargs) -> None:
+def _worker_main(worker_id: int, conn, results, initializer, initargs) -> None:
     try:
         if initializer is not None:
             initializer(*initargs)
-        result_q.put(("ready", worker_id, os.getpid()))
+        results.send(("ready", worker_id, os.getpid()))
         while True:
             try:
                 task = conn.recv()
@@ -174,10 +177,10 @@ def _worker_main(worker_id: int, conn, result_q, initializer, initargs) -> None:
                 with task_obs(obs):
                     payload = [fn(item) for item in chunk]
             except Exception:
-                result_q.put(("error", worker_id, task_id, attempt,
+                results.send(("error", worker_id, task_id, attempt,
                               traceback.format_exc()))
             else:
-                result_q.put(("done", worker_id, task_id, attempt,
+                results.send(("done", worker_id, task_id, attempt,
                               payload, _maybe_export(obs)))
     except KeyboardInterrupt:
         pass
@@ -248,14 +251,16 @@ _POOL_SEQ = itertools.count()
 
 
 class _WorkerSlot:
-    """One worker position: process + dispatch pipe + scheduling state."""
+    """One worker position: process + dispatch and result pipes +
+    scheduling state."""
 
-    __slots__ = ("process", "conn", "state", "task_id", "attempt",
+    __slots__ = ("process", "conn", "results", "state", "task_id", "attempt",
                  "dispatched_at")
 
-    def __init__(self, process, conn) -> None:
+    def __init__(self, process, conn, results) -> None:
         self.process = process
         self.conn = conn
+        self.results = results
         self.state = "starting"  # starting -> idle <-> busy; closed at exit
         self.task_id: Optional[int] = None
         self.attempt = 0
@@ -317,7 +322,6 @@ class WorkerPool:
         self._supervisor = ProcessSupervisor(obs=self.obs)
         self._ctx = self._supervisor.ctx
         self._pool_uid = next(_POOL_SEQ)
-        self._result_q = self._ctx.Queue()
         self._initializer = initializer
         self._initargs = initargs
         self._slots: List[_WorkerSlot] = []
@@ -328,20 +332,25 @@ class WorkerPool:
             self._slots.append(self._spawn(worker_id))
 
     # ------------------------------------------------------------------
-    def _worker_args(self) -> Tuple:
-        return (self._result_q, self._initializer, self._initargs)
-
-    def _spawn(self, worker_id: int) -> _WorkerSlot:
-        process, send_end = self._supervisor.spawn(
-            _worker_main, worker_id, self._worker_args())
-        return _WorkerSlot(process, send_end)
+    def _spawn(self, worker_id: int,
+               dead: Optional[_WorkerSlot] = None) -> _WorkerSlot:
+        """Start the worker for ``worker_id``, tearing ``dead`` down first."""
+        results, result_end = self._ctx.Pipe(duplex=False)
+        args = (result_end, self._initializer, self._initargs)
+        if dead is None:
+            process, conn = self._supervisor.spawn(_worker_main, worker_id,
+                                                   args)
+        else:
+            process, conn = self._supervisor.respawn(
+                _worker_main, worker_id, args, dead.process, dead.conn)
+            dead.results.close()
+        # The worker holds the only sending end, so its death reads as EOF.
+        result_end.close()
+        return _WorkerSlot(process, conn, results)
 
     def _respawn(self, worker_id: int) -> None:
-        slot = self._slots[worker_id]
-        process, conn = self._supervisor.respawn(
-            _worker_main, worker_id, self._worker_args(),
-            slot.process, slot.conn)
-        self._slots[worker_id] = _WorkerSlot(process, conn)
+        self._slots[worker_id] = self._spawn(worker_id,
+                                             self._slots[worker_id])
 
     # ------------------------------------------------------------------
     def map_chunked(self, fn: Callable, items: Sequence, *,
@@ -441,57 +450,70 @@ class WorkerPool:
             slot.dispatched_at = time.monotonic()
 
     def _drain_results(self, pending: deque, completed: Dict[int, List]) -> None:
-        block = True
-        while True:
-            try:
-                message = self._result_q.get(
-                    timeout=POLL_INTERVAL if block else 0)
-            except stdlib_queue.Empty:
+        """Handle every message waiting on the result pipes, blocking up to
+        one poll interval for the first."""
+        conns = [slot.results for slot in self._slots]
+        timeout = POLL_INTERVAL
+        while conns:
+            ready = wait(conns, timeout)
+            if not ready:
                 return
-            block = False
-            kind = message[0]
-            if kind == "ready":
-                _, worker_id, _pid = message
-                slot = self._slots[worker_id]
-                if slot.state == "starting":
-                    slot.state = "idle"
-                continue
-            if kind == "done":
-                _, worker_id, task_id, attempt, payload, exported = message
-                self._release_slot(worker_id, task_id)
-                task = self._active.get(task_id)
-                if task is None or attempt != task.attempts:
-                    # Stale: an earlier attempt of a retried task finished
-                    # late (its worker was timed out or presumed dead).
-                    # Only the live attempt's result and obs export count.
-                    continue
-                self._active.pop(task_id)
+            timeout = 0
+            for conn in ready:
                 try:
-                    # Completed before its requeued retry was re-dispatched:
-                    # drop the pending copy instead of running it again.
-                    pending.remove(task)
-                except ValueError:
-                    pass
-                completed[task.index] = payload
-                self.obs.registry.counter("parallel.tasks_completed").inc()
-                if exported is not None:
-                    # Keyed by stable task identity, not the per-attempt
-                    # registry uid — each attempt runs under a fresh
-                    # registry, so uid keying would let two attempts of one
-                    # task both land and double-count its metrics.
-                    task_key = f"parallel.pool{self._pool_uid}.task{task_id}"
-                    if self.obs.absorb(exported, key=task_key):
-                        self.obs.registry.counter(
-                            "parallel.snapshots_absorbed").inc()
-                continue
-            # kind == "error"
-            _, worker_id, task_id, attempt, trace_text = message
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # The worker died (possibly mid-message); liveness
+                    # policing respawns it with a fresh pipe.
+                    conns.remove(conn)
+                    continue
+                self._handle_result(message, pending, completed)
+
+    def _handle_result(self, message: Tuple, pending: deque,
+                       completed: Dict[int, List]) -> None:
+        kind = message[0]
+        if kind == "ready":
+            _, worker_id, _pid = message
+            slot = self._slots[worker_id]
+            if slot.state == "starting":
+                slot.state = "idle"
+            return
+        if kind == "done":
+            _, worker_id, task_id, attempt, payload, exported = message
             self._release_slot(worker_id, task_id)
             task = self._active.get(task_id)
-            if task is None or attempt != task.attempts or task in pending:
-                continue  # stale attempt, or the task is already requeued
-            self.obs.registry.counter("parallel.task_errors").inc()
-            self._retry_or_fail(task, pending, trace_text)
+            if task is None or attempt != task.attempts:
+                # Stale: an earlier attempt of a retried task finished
+                # late (its worker was timed out or presumed dead).
+                # Only the live attempt's result and obs export count.
+                return
+            self._active.pop(task_id)
+            try:
+                # Completed before its requeued retry was re-dispatched:
+                # drop the pending copy instead of running it again.
+                pending.remove(task)
+            except ValueError:
+                pass
+            completed[task.index] = payload
+            self.obs.registry.counter("parallel.tasks_completed").inc()
+            if exported is not None:
+                # Keyed by stable task identity, not the per-attempt
+                # registry uid — each attempt runs under a fresh
+                # registry, so uid keying would let two attempts of one
+                # task both land and double-count its metrics.
+                task_key = f"parallel.pool{self._pool_uid}.task{task_id}"
+                if self.obs.absorb(exported, key=task_key):
+                    self.obs.registry.counter(
+                        "parallel.snapshots_absorbed").inc()
+            return
+        # kind == "error"
+        _, worker_id, task_id, attempt, trace_text = message
+        self._release_slot(worker_id, task_id)
+        task = self._active.get(task_id)
+        if task is None or attempt != task.attempts or task in pending:
+            return  # stale attempt, or the task is already requeued
+        self.obs.registry.counter("parallel.task_errors").inc()
+        self._retry_or_fail(task, pending, trace_text)
 
     def _release_slot(self, worker_id: int, task_id: int) -> None:
         slot = self._slots[worker_id]
@@ -553,11 +575,11 @@ class WorkerPool:
             if slot.process.is_alive():
                 slot.process.kill()
                 slot.process.join(timeout=1.0)
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
-        self._result_q.close()
+            for conn in (slot.conn, slot.results):
+                try:
+                    conn.close()
+                except OSError:
+                    pass
         self._active.clear()
 
     def __enter__(self) -> "WorkerPool":

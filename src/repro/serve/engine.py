@@ -33,12 +33,14 @@ Two decode modes, selected at construction:
     length vector, grown by amortised doubling.  A decode step runs the
     embeddings, attention projections, and SwiGLU MLP as single ``(B, ·)``
     matmuls, writes each sequence's new K/V into its slot row with one
-    fancy-indexed store per layer, and attends over a plain slice view of
-    the batch buffer with out-of-range positions masked to ``-1e30`` —
-    no per-step reassembly of the KV history.  BLAS matmuls are not
-    bitwise row-stable across batch shapes, so fused logits match the
-    single-sequence engine to ~1e-6 float tolerance; near-degenerate
-    logit ties could in principle resolve differently.
+    fancy-indexed store per layer, and attends over the running slots'
+    histories with out-of-range positions masked to ``-1e30``.  Dense
+    slots are picked with an index array, so every step copies each
+    running sequence's ``Tmax``-long K/V history, per layer, into a fresh
+    gather buffer (paged mode gathers its blocks the same way).  BLAS
+    matmuls are not bitwise row-stable across batch shapes, so fused
+    logits match the single-sequence engine to ~1e-6 float tolerance;
+    near-degenerate logit ties could in principle resolve differently.
 ``"exact"``
     Sequences keep per-sequence :class:`~repro.nn.infer._LayerCache` state
     and decode loops them through ``InferenceEngine._forward`` with the

@@ -19,12 +19,13 @@ Three claims, each with its own oracle or baseline (DESIGN.md §13):
 3. **Paged decode step cost** — vectorized paged attention (one
    ``np.take`` gather per layer across the batch) must stay within
    ``PAGED_STEP_RATIO_CEILING``x of the dense slot layout per decode step
-   at 512-token contexts.  Dense reads its history with a basic slice;
-   paged pays a real gather — the ceiling bounds what block indirection
-   is allowed to cost at the depth where it matters.  Both arms run
-   back-to-back within each round (GC paused) and the headline is the
-   median of per-round paired ratios, the same drift-cancelling protocol
-   as ``decode_bench``.
+   at 512-token contexts.  Both layouts copy each running sequence's
+   history every step: dense with one fancy-indexed gather of its slot
+   rows, paged with one ``np.take`` over block-table indices — the
+   ceiling bounds what block indirection costs on top of that copy at
+   the depth where it matters.  Both arms run back-to-back within each
+   round (GC paused) and the headline is the median of per-round paired
+   ratios, the same drift-cancelling protocol as ``decode_bench``.
 
 Phases 2 and 3 use untrained models (counters and step timing do not care
 about weights); phase 1 trains the differential-suite toy model so the

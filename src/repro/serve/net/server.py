@@ -110,6 +110,11 @@ class _Connection:
                 await self.writer.drain()
         except (ConnectionError, asyncio.CancelledError, RuntimeError):
             pass
+        # Everything queued before the sentinel is flushed: close the
+        # transport, which also hands the connection's reader EOF, so a
+        # client shed from the pump side is disconnected at once instead
+        # of staying parked in readline().
+        self.writer.close()
 
     async def flush_and_close(self) -> None:
         self.closed = True

@@ -279,7 +279,7 @@ class Scheduler:
                     for request in self.refill(free):
                         self.submit(request)
             self._expire(now)
-            self._admit(now)
+            self._admit()
             if self._running:
                 self.metrics.record_step(len(self._queue), len(self._running))
                 with self.obs.span("serve.decode_step",
@@ -331,7 +331,7 @@ class Scheduler:
                     self._finish_seq(seq, RequestStatus.EXPIRED,
                                      FinishReason.DEADLINE)
 
-    def _admit(self, now: float) -> None:
+    def _admit(self) -> None:
         max_ctx = self.engine.config.max_seq_len
         while self._queue and len(self._running) < self.config.max_batch_size:
             _, _, request = heapq.heappop(self._queue)
@@ -361,10 +361,10 @@ class Scheduler:
             self.metrics.prefill_tokens += len(prompt) - reused
             self.metrics.cached_prefix_tokens += reused
             self.metrics.record_admission(self.clock() - t_admit)
-            submitted = self._submitted_at[request.request_id]
-            self.metrics.record_queue_wait(now - submitted)
-            seq.first_token_at = now
-            self.metrics.record_ttft(now - submitted)
+            # t_admit, not the step's ``now``: a request the refill hook
+            # submitted inside this step was not yet queued at ``now``.
+            self.metrics.record_queue_wait(
+                t_admit - self._submitted_at[request.request_id])
             if self._advance(seq, logits):
                 self._running.append(seq)
 
@@ -481,6 +481,12 @@ class Scheduler:
         vec = logits if row is None else logits[row]
         token = sample_next(vec, temperature=params.temperature, rng=seq.rng,
                             top_k=params.top_k, top_p=params.top_p)
+        if seq.first_token_at is None:
+            # TTFT ends here, after prefill and the first sample, and before
+            # any stop condition can complete the request.
+            seq.first_token_at = self.clock()
+            self.metrics.record_ttft(
+                seq.first_token_at - self._submitted_at[seq.request.request_id])
         if params.stop_on_eos and self.eos_id is not None and token == self.eos_id:
             self._finish_seq(seq, RequestStatus.FINISHED, FinishReason.EOS)
             return False

@@ -111,8 +111,15 @@ class InProcessServer:
         return self.submit(ids, params=params, **kwargs)
 
     def step(self) -> List[Completion]:
-        """Advance the scheduler one step; returns new completions."""
-        return self._collect(self.scheduler.step())
+        """Advance the scheduler one step; returns new completions.
+
+        Drains the scheduler's completion list rather than keeping
+        ``step()``'s return value, so a completion is held once (in
+        :meth:`result`'s map), and one that landed between steps (a direct
+        ``scheduler.cancel``) is returned too.
+        """
+        self.scheduler.step()
+        return self._collect(self.scheduler.drain_completions())
 
     def run_until_idle(self, max_steps: Optional[int] = None) -> List[Completion]:
         """Drive the scheduler until all submitted work is done."""

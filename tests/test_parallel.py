@@ -6,9 +6,11 @@ serial loop — responses, judge verdicts, accuracies, and the observability
 counter totals that ride back in worker snapshots.
 """
 
+import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 
 import numpy as np
@@ -156,6 +158,23 @@ def _sleep_long(x):
     return x
 
 
+def _kill_first_attempt_of_every_fourth(x):
+    flag = os.path.join(get_task_context()["flags"], str(x))
+    if x % 4 == 3 and not os.path.exists(flag):
+        open(flag, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
+def _forge_results(pool, worker_id=0):
+    """Swap a worker's result pipe for one the test writes wire messages
+    to; returns the sending end."""
+    recv_end, send_end = multiprocessing.get_context("fork").Pipe(
+        duplex=False)
+    pool._slots[worker_id].results = recv_end
+    return send_end
+
+
 def _count_then_kill_first_attempt(x):
     worker_obs().registry.counter("t.items").inc()
     ctx = get_task_context()
@@ -269,9 +288,9 @@ class TestWorkerPool:
             task = _Task(task_id=0, index=0, fn=_square, chunk=[3])
             task.attempts = 2  # a retry is the live attempt
             pool._active[0] = task
-            pool._result_q.put(("done", 0, 0, 1, ["stale"], export_with(100)))
-            pool._result_q.put(("done", 0, 0, 2, ["live"], export_with(1)))
-            time.sleep(0.2)  # queue feeder thread flush
+            forge = _forge_results(pool)
+            forge.send(("done", 0, 0, 1, ["stale"], export_with(100)))
+            forge.send(("done", 0, 0, 2, ["live"], export_with(1)))
             completed = {}
             pool._drain_results(deque(), completed)
             assert completed == {0: ["live"]}
@@ -292,8 +311,7 @@ class TestWorkerPool:
             task.attempts = 1
             pool._active[0] = task
             pending = deque([task])
-            pool._result_q.put(("done", 0, 0, 1, [4], None))
-            time.sleep(0.2)
+            _forge_results(pool).send(("done", 0, 0, 1, [4], None))
             completed = {}
             pool._drain_results(pending, completed)
             assert completed == {0: [4]}
@@ -327,6 +345,29 @@ class TestWorkerPool:
         snap = obs.registry.snapshot()
         assert snap["parallel.worker_respawns"] >= 1
         assert snap["parallel.task_retries"] >= 1
+
+    def test_repeated_kills_never_wedge_the_pool(self, tmp_path):
+        # Stress: a dozen workers die mid-chunk.  With one result queue
+        # shared by every worker, a death during a result write could
+        # leave the queue's lock held or a partial message in the shared
+        # pipe, and the map then hung (in 2-5 of 10 runs on 2 vCPUs).
+        obs = Observability()
+        items = list(range(48))
+        outcome = {}
+
+        def run():
+            with task_context(flags=str(tmp_path)):
+                with WorkerPool(4, obs=obs) as pool:
+                    outcome["results"] = pool.map_chunked(
+                        _kill_first_attempt_of_every_fourth, items,
+                        chunk_size=2)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the pool stopped making progress"
+        assert outcome["results"] == [x * x for x in items]
+        assert obs.registry.snapshot()["parallel.worker_respawns"] >= 12
 
     def test_timeout_kills_worker_and_fails_fast(self):
         obs = Observability()

@@ -309,6 +309,41 @@ def test_priority_ordering(model):
     assert order == [vip] + normal
 
 
+class TickingClock(ManualClock):
+    """A fake clock that also advances a little on every read."""
+
+    def __call__(self):
+        self.t += 0.001
+        return self.t
+
+
+def test_ttft_covers_prefill_and_is_never_negative(model):
+    """TTFT is read after the first token is sampled: it includes the
+    prefill's clock advance, and a request the refill hook submits inside
+    a step (after the step read its clock) gets no negative TTFT."""
+    clock = TickingClock()
+    server = InProcessServer(model, config=ServeConfig(max_batch_size=4),
+                             clock=clock)
+    prefill_into = server.engine.prefill_into
+
+    def slow_prefill(*args, **kwargs):
+        clock.t += 2.0
+        return prefill_into(*args, **kwargs)
+
+    server.engine.prefill_into = slow_prefill
+    pending = [Request(request_id="refilled", prompt_ids=(1, 9),
+                       params=SamplingParams(max_new_tokens=2))]
+    server.scheduler.refill = lambda free: [pending.pop()] if pending else []
+    server.submit([1, 7], params=SamplingParams(max_new_tokens=2),
+                  request_id="queued")
+    clock.t += 1.0
+    done = {c.request_id: c for c in server.run_until_idle()}
+    ttfts = server.scheduler.metrics.ttfts
+    assert len(ttfts) == 2 and min(ttfts) >= 2.0
+    assert done["queued"].ttft >= 3.0
+    assert done["refilled"].ttft >= 2.0
+
+
 def test_deadline_expiry(model):
     """Queued requests past their deadline are evicted unrun."""
     clock = ManualClock()
@@ -625,8 +660,9 @@ def test_on_token_cancel_mid_decode_single_outcome(model):
     server.scheduler.on_token = on_token
     rid = server.submit([1, 7], params=SamplingParams(max_new_tokens=30))
     steps = 0
+    stepped = []
     while not server.idle:
-        server.step()
+        stepped.extend(server.step())
         steps += 1
         assert steps < 100, "cancelled request was resurrected"
     completion = server.result(rid)
@@ -637,11 +673,32 @@ def test_on_token_cancel_mid_decode_single_outcome(model):
     acct = server.scheduler.accounting()
     assert acct["cancelled"] == 1 and acct["conservation_ok"] == 1
     assert len(server.engine._free_slots) == 2
-    # Exactly one terminal completion in the backlog, and draining twice
-    # never yields a duplicate.
-    drained = server.scheduler.drain_completions()
-    assert [c.request_id for c in drained] == [rid]
+    # Exactly one terminal completion reaches the caller, and the
+    # scheduler's backlog holds no duplicate of it.
+    assert [c.request_id for c in stepped] == [rid]
     assert server.scheduler.drain_completions() == []
+
+
+def test_step_driven_serving_drains_scheduler_completions(model):
+    """Driving the server with step() returns every completion exactly
+    once, the same set run_until_idle returns, and leaves none behind in
+    the scheduler (the server's result map is the only copy)."""
+    prompts = [[1, 5 + i] for i in range(5)]
+    params = SamplingParams(max_new_tokens=3)
+    oracle = InProcessServer(model, config=ServeConfig(max_batch_size=2))
+    for prompt in prompts:
+        oracle.submit(prompt, params=params)
+    expected = {c.request_id: c.token_ids for c in oracle.run_until_idle()}
+
+    server = InProcessServer(model, config=ServeConfig(max_batch_size=2))
+    for prompt in prompts:
+        server.submit(prompt, params=params)
+    stepped = []
+    while not server.idle:
+        stepped.extend(server.step())
+        assert server.scheduler._completions == []
+    assert {c.request_id: c.token_ids for c in stepped} == expected
+    assert len(stepped) == len(prompts)
 
 
 def test_cancel_step_interleaving_conservation_fuzz(model):

@@ -606,7 +606,9 @@ def test_slow_consumer_shed_cancels_and_frees_slot(long_model):
     max_batch = handle.server.inner.config.max_batch_size
     server = handle.server
     try:
-        client = NetClient(host, port)
+        # A short io_timeout: the shed must close the socket, not leave
+        # the client waiting for its own timeout.
+        client = NetClient(host, port, io_timeout=5.0)
         client.submit(prompt_ids=[1, 2, 3],
                       params={"max_new_tokens": 512}, stream=True)
         assert client.recv_event()["event"] == "accepted"
@@ -615,14 +617,12 @@ def test_slow_consumer_shed_cancels_and_frees_slot(long_model):
         handle._loop.call_soon_threadsafe(server._shed_slow_consumer, conn)
 
         saw_shed_error = False
-        try:
+        with pytest.raises(NetClientError, match="closed by server"):
             while True:
                 event = client.recv_event()
                 if (event.get("event") == "error"
                         and event.get("code") == protocol.E_SLOW_CONSUMER):
                     saw_shed_error = True
-        except NetClientError:
-            pass  # server closed the connection after the farewell frame
         assert saw_shed_error
         assert _wait_until(lambda: _free_slots(handle) == max_batch)
         assert _wait_until(lambda: (

@@ -22,6 +22,13 @@ from .sampling import sample_next, softmax as _softmax
 from .transformer import TransformerLM
 
 
+#: Short name of each per-block weight -> its state-dict module path.
+BLOCK_WEIGHTS = {"attn_norm": "attn_norm", "q": "attn.q_proj",
+                 "k": "attn.k_proj", "v": "attn.v_proj", "o": "attn.o_proj",
+                 "mlp_norm": "mlp_norm", "gate": "mlp.gate_proj",
+                 "up": "mlp.up_proj", "down": "mlp.down_proj"}
+
+
 def _rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     ms = (x * x).mean(axis=-1, keepdims=True)
     return x / np.sqrt(ms + eps) * weight
@@ -29,6 +36,13 @@ def _rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarra
 
 def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
+
+
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary embedding of ``x`` (``cos``/``sin`` broadcast over its rows)."""
+    half = x.shape[-1] // 2
+    rotated = np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
+    return x * cos + rotated * sin
 
 
 class _LayerCache:
@@ -77,12 +91,6 @@ class _LayerCache:
         self._v[:, self._len: self._len + t] = v_new
         self._len += t
 
-    def preload(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Seed an *empty* cache with precomputed K/V (prefix reuse)."""
-        if self._len:
-            raise ValueError("preload requires an empty cache")
-        self.append(k, v)
-
     def truncate(self, length: int) -> None:
         """Drop cached positions beyond ``length`` (speculative rollback).
 
@@ -116,6 +124,83 @@ class _LayerCache:
         return self._len
 
 
+class _CacheStore:
+    """KV store of the layer loop over per-sequence :class:`_LayerCache` s.
+
+    The loop calls :meth:`end` (longest length after the write, for the
+    context-window check), :meth:`reserve`, :meth:`rope` and
+    :meth:`attend` per layer, and :meth:`commit`.  This store covers ``t``
+    consecutive new positions of one sequence; subclasses override
+    :meth:`history` to keep K/V elsewhere.
+    """
+
+    def __init__(self, engine: "InferenceEngine",
+                 caches: List[_LayerCache]) -> None:
+        self.engine = engine
+        self.caches = caches
+        self.start = caches[0].length
+
+    def end(self, t: int) -> int:
+        return self.start + t
+
+    def reserve(self, t: int) -> None:
+        self.cos = self.engine._cos[self.start: self.start + t]
+        self.sin = self.engine._sin[self.start: self.start + t]
+
+    def commit(self, t: int) -> None:
+        pass  # _LayerCache.append already advanced each layer's length
+
+    def history(self, li: int, k: np.ndarray, v: np.ndarray):
+        """Store the new ``(H, T, Dh)`` rows; return the whole history."""
+        cache = self.caches[li]
+        cache.append(k, v)
+        return cache.k, cache.v
+
+    def rope(self, x: np.ndarray) -> np.ndarray:
+        """Rotate new ``(T, H, Dh)`` rows by their positions, head-major."""
+        return _rope(x.transpose(1, 0, 2), self.cos, self.sin)
+
+    def attend(self, li: int, q: np.ndarray, k: np.ndarray,
+               v: np.ndarray) -> np.ndarray:
+        """Store the new rows' K/V (``q``/``k`` already rotated, ``v`` as
+        ``(T, H, Dh)``); return their ``(T, D)`` attention context."""
+        t = q.shape[1]
+        k_all, v_all = self.history(li, k, v.transpose(1, 0, 2))
+        # Fused no-grad attention: mask only the new block (the earlier
+        # history is fully visible), softmax in the scores buffer.
+        return attention_nograd(q, k_all, v_all, causal_tail=t) \
+            .transpose(1, 0, 2).reshape(t, -1)
+
+
+class _Unpacked:
+    """Projection strategy with one GEMM per weight matrix — the shapes of
+    single-sequence decoding, which every bitwise oracle is pinned to."""
+
+    def __init__(self, layers: List[Dict[str, object]], lm_head) -> None:
+        self.layers = layers
+        self.lm_head = lm_head
+
+    @staticmethod
+    def _mm(h: np.ndarray, w) -> np.ndarray:
+        return h @ w.T
+
+    def qkv(self, h: np.ndarray, li: int):
+        layer = self.layers[li]
+        return (self._mm(h, layer["q"]), self._mm(h, layer["k"]),
+                self._mm(h, layer["v"]))
+
+    def out(self, ctx: np.ndarray, li: int) -> np.ndarray:
+        return self._mm(ctx, self.layers[li]["o"])
+
+    def mlp(self, h: np.ndarray, li: int) -> np.ndarray:
+        layer = self.layers[li]
+        return self._mm(_silu(self._mm(h, layer["gate"]))
+                        * self._mm(h, layer["up"]), layer["down"])
+
+    def head(self, x: np.ndarray) -> np.ndarray:
+        return self._mm(x, self.lm_head)
+
+
 class InferenceEngine:
     """Incremental decoder over a trained :class:`TransformerLM`.
 
@@ -136,58 +221,50 @@ class InferenceEngine:
         self.tok_emb = state["tok_emb.weight"]
         self.final_norm = state["final_norm.weight"]
         self.lm_head = state["lm_head.weight"]
-        self.layers: List[Dict[str, np.ndarray]] = []
-        for i in range(config.n_layers):
-            prefix = f"blocks.{i}."
-            self.layers.append({
-                "attn_norm": state[prefix + "attn_norm.weight"],
-                "q": state[prefix + "attn.q_proj.weight"],
-                "k": state[prefix + "attn.k_proj.weight"],
-                "v": state[prefix + "attn.v_proj.weight"],
-                "o": state[prefix + "attn.o_proj.weight"],
-                "mlp_norm": state[prefix + "mlp_norm.weight"],
-                "gate": state[prefix + "mlp.gate_proj.weight"],
-                "up": state[prefix + "mlp.up_proj.weight"],
-                "down": state[prefix + "mlp.down_proj.weight"],
-            })
+        self.layers: List[Dict[str, np.ndarray]] = [
+            {key: state[f"blocks.{i}.{name}.weight"]
+             for key, name in BLOCK_WEIGHTS.items()}
+            for i in range(config.n_layers)]
+        self._unpacked = _Unpacked(self.layers, self.lm_head)
         cos, sin = rope_cache(config.max_seq_len, self.head_dim)
         self._cos = cos.astype(self.tok_emb.dtype)
         self._sin = sin.astype(self.tok_emb.dtype)
 
     # ------------------------------------------------------------------
-    def _apply_rope(self, x: np.ndarray, start: int) -> np.ndarray:
-        # x: (H, T, Dh)
-        t = x.shape[1]
-        cos = self._cos[start: start + t]
-        sin = self._sin[start: start + t]
-        half = self.head_dim // 2
-        rotated = np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
-        return x * cos + rotated * sin
+    def _layer_loop(self, ids: Sequence[int], kv, proj=None,
+                    all_rows: bool = False) -> np.ndarray:
+        """The transformer forward every inference path runs.
+
+        Norm → QKV → RoPE → KV write → attention → O → SwiGLU per layer,
+        then the final norm and LM head.  ``kv`` is a KV store (see
+        :class:`_CacheStore`) that owns RoPE positions, K/V storage and
+        the attention context; ``proj`` is a projection strategy
+        (default :class:`_Unpacked`).  Returns logits of every row
+        (``all_rows``) or of the last row only.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        t = len(ids)
+        if kv.end(t) > self.config.max_seq_len:
+            raise ValueError("sequence exceeds the model context window")
+        kv.reserve(t)
+        proj = proj or self._unpacked
+        rows = (t, self.n_heads, self.head_dim)
+        x = self.tok_emb[ids]  # (T, D)
+        for li, layer in enumerate(self.layers):
+            h = _rms_norm(x, layer["attn_norm"])
+            q, k, v = proj.qkv(h, li)
+            q, k = kv.rope(q.reshape(rows)), kv.rope(k.reshape(rows))
+            x = x + proj.out(kv.attend(li, q, k, v.reshape(rows)), li)
+            x = x + proj.mlp(_rms_norm(x, layer["mlp_norm"]), li)
+        kv.commit(t)
+        if all_rows:
+            return proj.head(_rms_norm(x, self.final_norm))  # (T, vocab)
+        return proj.head(_rms_norm(x[-1:], self.final_norm))[0]
 
     def _forward(self, ids: Sequence[int], caches: List[_LayerCache]) -> np.ndarray:
         """Run ``ids`` through the model, extending ``caches``; returns the
         logits of the final position."""
-        ids = np.asarray(ids, dtype=np.int64)
-        x = self.tok_emb[ids]  # (T, D)
-        start = caches[0].length
-        for layer, cache in zip(self.layers, caches):
-            h = _rms_norm(x, layer["attn_norm"])
-            t = h.shape[0]
-            q = (h @ layer["q"].T).reshape(t, self.n_heads, self.head_dim).transpose(1, 0, 2)
-            k = (h @ layer["k"].T).reshape(t, self.n_heads, self.head_dim).transpose(1, 0, 2)
-            v = (h @ layer["v"].T).reshape(t, self.n_heads, self.head_dim).transpose(1, 0, 2)
-            q = self._apply_rope(q, start)
-            k = self._apply_rope(k, start)
-            cache.append(k, v)
-            # Fused no-grad attention: mask only the new block (the earlier
-            # cache is fully visible), softmax in the scores buffer.
-            ctx = attention_nograd(q, cache.k, cache.v,
-                                   causal_tail=t).transpose(1, 0, 2).reshape(t, -1)
-            x = x + ctx @ layer["o"].T
-            h = _rms_norm(x, layer["mlp_norm"])
-            x = x + (_silu(h @ layer["gate"].T) * (h @ layer["up"].T)) @ layer["down"].T
-        x = _rms_norm(x[-1:], self.final_norm)
-        return (x @ self.lm_head.T)[0]
+        return self._layer_loop(ids, _CacheStore(self, caches))
 
     # ------------------------------------------------------------------
     def logits(self, ids: Sequence[int]) -> np.ndarray:

@@ -3,27 +3,25 @@
 :class:`BatchedEngine` extends the single-sequence
 :class:`~repro.nn.infer.InferenceEngine` with what the scheduler needs:
 
-* **prefill with KV reuse** — a new sequence's caches can be preloaded with
-  KV state from the prefix pool or a chat session, so prefill only runs the
-  unseen suffix of the prompt;
+* **admission** — :meth:`begin_sequence` opens a sequence, optionally
+  adopting a pool/session :class:`~repro.serve.cache.KVEntry` (shared
+  block references in paged mode: a refcount bump plus at most one
+  sub-block tail copy), and :meth:`prefill_into` runs the unseen prompt
+  suffix forward, writing K/V straight into the sequence's storage;
+  :meth:`make_entry` snapshots a sequence back into an entry the same way
+  — shared blocks out, not copies.  The ``kv_bytes_copied`` /
+  ``blocks_shared`` counters account every KV byte that moves between
+  storage locations (and every block reference taken), which is how the
+  kvplane benchmark asserts a full prefix hit copies *zero* KV bytes;
 * **batched decode** — one call advances every running sequence by a token;
-* **KV export** — a sequence's accumulated KV state can be snapshotted for
-  the prefix pool or the session store;
-* **zero-copy admission** — :meth:`begin_sequence` adopts a pool/session
-  :class:`~repro.serve.cache.KVEntry` (shared block references in paged
-  mode: a refcount bump plus at most one sub-block tail copy), and
-  :meth:`prefill_into` runs the prompt forward writing K/V straight into
-  the adopted slot/block storage, eliminating the cache-then-``bind``
-  double materialization; :meth:`make_entry` snapshots a sequence back
-  into an entry the same way — shared blocks out, not copies.  The
-  ``kv_bytes_copied`` / ``blocks_shared`` counters account every KV byte
-  that moves between storage locations (and every block reference taken),
-  which is how the kvplane benchmark asserts a full prefix hit copies
-  *zero* KV bytes;
 * **speculative verification** — :meth:`verify_scores` scores a chain of
   candidate tokens in one forward pass and :meth:`truncate_kv` rolls the
   cache back past a rejection, the primitives the scheduler's speculative
   decode loop is built on.
+
+Each runs the one transformer forward, ``InferenceEngine._layer_loop``,
+with a KV store (per-sequence caches, one slot's span, or the ragged
+decode batch) and a projection strategy (unpacked, or packed fp32/int8).
 
 Two decode modes, selected at construction:
 
@@ -41,12 +39,15 @@ Two decode modes, selected at construction:
     matmuls are not bitwise row-stable across batch shapes, so fused
     logits match the single-sequence engine to ~1e-6 float tolerance;
     near-degenerate logit ties could in principle resolve differently.
+    Prefill runs the unpacked single-sequence projections, so its logits
+    and stored K/V are bitwise equal to exact mode's.
 ``"exact"``
     Sequences keep per-sequence :class:`~repro.nn.infer._LayerCache` state
     and decode loops them through ``InferenceEngine._forward`` with the
     exact array shapes of single-sequence decoding — guaranteeing
     token-for-token parity with :meth:`InferenceEngine.generate`.  Use for
-    regression comparisons and determinism-critical evaluation.
+    regression comparisons and determinism-critical evaluation, and as the
+    oracle of the fused paths.
 
 Orthogonal to the decode mode, two cheap-serve axes (DESIGN.md §11):
 
@@ -84,11 +85,12 @@ the scheduler never touches the storage representation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..nn.infer import InferenceEngine, _LayerCache, _rms_norm, _silu
+from ..nn.infer import (BLOCK_WEIGHTS, InferenceEngine, _CacheStore,
+                        _LayerCache, _Unpacked, _rope, _silu)
 from ..nn.kernels import (INT8_SCALE_SUFFIX, attention_nograd,
                           dequantize_state_dict, is_quantized_state,
                           matmul_int8_nograd, quantize_state_dict)
@@ -136,6 +138,141 @@ def dequantized_oracle_model(model) -> _StateModel:
     if not is_quantized_state(state):
         state = quantize_state_dict(state)
     return _StateModel(model.config, dequantize_state_dict(state))
+
+
+def _entry_kv(entry: KVEntry, match: int) -> List[LayerKV]:
+    """The first ``match`` positions of an entry as per-layer ``(k, v)``
+    (views of an array entry; a gathered copy of a block entry)."""
+    kvs = (entry.layer_kv if isinstance(entry, ArrayEntry)
+           else entry.materialize(match))
+    return [(k[:, :match], v[:, :match]) for k, v in kvs]
+
+
+def _pack(*weights):
+    """Stack projection weights row-wise into one GEMM operand; int8
+    weights are ``(q, scales)`` pairs and stack pairwise."""
+    if isinstance(weights[0], tuple):
+        return (np.concatenate([q for q, _ in weights], axis=0),
+                np.concatenate([s for _, s in weights]))
+    return np.concatenate(weights, axis=0)
+
+
+class _Packed(_Unpacked):
+    """Projection strategy of fused decode and verification: Q|K|V and
+    gate|up as one GEMM each, over fp32 or int8 ``(q, scales)`` weights."""
+
+    @staticmethod
+    def _mm(h: np.ndarray, w) -> np.ndarray:
+        if isinstance(w, tuple):
+            return matmul_int8_nograd(h, *w)
+        return h @ w.T
+
+    def qkv(self, h: np.ndarray, li: int):
+        qkv = self._mm(h, self.layers[li]["qkv"])  # (T, 3*D)
+        dim = qkv.shape[1] // 3
+        return qkv[:, :dim], qkv[:, dim: 2 * dim], qkv[:, 2 * dim:]
+
+    def mlp(self, h: np.ndarray, li: int) -> np.ndarray:
+        gate_up = self._mm(h, self.layers[li]["gate_up"])  # (T, 2*ffn)
+        ffn = gate_up.shape[1] // 2
+        return self._mm(_silu(gate_up[:, :ffn]) * gate_up[:, ffn:],
+                        self.layers[li]["down"])
+
+
+class _SlotSpan(_CacheStore):
+    """KV store of fused prefill and verification: ``t`` new positions of
+    one slot, written straight into its dense slab or paged blocks."""
+
+    def __init__(self, engine: "BatchedEngine", slot: int) -> None:
+        self.engine = engine
+        self.slot = slot
+        self.start = int(engine._slot_lens[slot])
+
+    def reserve(self, t: int) -> None:
+        super().reserve(t)
+        self.engine._reserve(self.slot, self.start + t)
+
+    def commit(self, t: int) -> None:
+        self.engine._slot_lens[self.slot] = self.start + t
+
+    def history(self, li: int, k: np.ndarray, v: np.ndarray):
+        e, slot, end = self.engine, self.slot, self.start + k.shape[1]
+        e._write_kv_span(li, slot, self.start, k, v)
+        if e.kv_mode == "paged":
+            idx = e._gather_pad[slot, :end]
+            return e._flat_k[li][:, idx], e._flat_v[li][:, idx]
+        # Contiguous copies so the attention matmuls see the same operand
+        # layouts as exact mode.
+        return (np.ascontiguousarray(e._slot_k[li][slot, :, :end]),
+                np.ascontiguousarray(e._slot_v[li][slot, :, :end]))
+
+
+class _DecodeBatch:
+    """KV store of a fused decode step: one new position for each of ``B``
+    slots.  Ragged histories are padded to the longest and masked; dense
+    slots are gathered by index array, paged blocks by one ``np.take``."""
+
+    def __init__(self, engine: "BatchedEngine", slots: List[int]) -> None:
+        self.engine = engine
+        self.slots = np.asarray(slots)
+        self.positions = engine._slot_lens[self.slots].copy()  # pre-append
+
+    def end(self, t: int) -> int:
+        return int(self.positions.max()) + 1
+
+    def reserve(self, t: int) -> None:
+        e, pos = self.engine, self.positions
+        self.lengths = pos + 1  # per-sequence lengths after the append
+        self.t_max = int(self.lengths.max())
+        if e.kv_mode == "paged":
+            for slot, p in zip(self.slots, pos):
+                e._ensure_paged(int(slot), int(p) + 1)
+            # Flat indices of each history (padded rows land on once-zeroed
+            # storage that the mask weights at exactly zero) and of each
+            # new token, raveled for np.take: ~7x faster than 2-D fancy
+            # indexing (take hits the contiguous-row copy path).
+            self.gather_idx = e._gather_pad[self.slots, :self.t_max].ravel()
+            self.write_idx = e._gather_pad[self.slots, pos]  # (B,)
+        else:
+            e._ensure_slot_storage(self.t_max)
+        self.cos = e._cos[pos][:, None, :]  # (B, 1, Dh)
+        self.sin = e._sin[pos][:, None, :]
+        self.invalid = (np.arange(self.t_max)[None, :]
+                        >= self.lengths[:, None])  # (B, Tmax)
+
+    def commit(self, t: int) -> None:
+        self.engine._slot_lens[self.slots] = self.lengths
+
+    def rope(self, x: np.ndarray) -> np.ndarray:
+        return _rope(x, self.cos, self.sin)  # (B, H, Dh)
+
+    def attend(self, li: int, q: np.ndarray, k: np.ndarray,
+               v: np.ndarray) -> np.ndarray:
+        e, batch = self.engine, len(self.slots)
+        if e.kv_mode == "paged":
+            flat_k, flat_v = e._flat_k[li], e._flat_v[li]
+            flat_k[:, self.write_idx] = k.transpose(1, 0, 2)
+            flat_v[:, self.write_idx] = v.transpose(1, 0, 2)
+            shape = (e.n_heads, batch, self.t_max, e.head_dim)
+            k_all = np.take(flat_k, self.gather_idx, axis=1).reshape(shape)
+            v_all = np.take(flat_v, self.gather_idx, axis=1).reshape(shape)
+            # Head-major batching: per-(h, b) operand slices are the same
+            # contiguous (Tmax, Dh) layouts the dense path feeds the
+            # kernel, so the gathered histories stay bit-identical.
+            ctx = attention_nograd(q.transpose(1, 0, 2)[:, :, None, :],
+                                   k_all, v_all,
+                                   invalid=self.invalid[None, :, None, :])
+            return ctx[:, :, 0, :].transpose(1, 0, 2).reshape(batch, -1)
+        slot_k, slot_v = e._slot_k[li], e._slot_v[li]
+        slot_k[self.slots, :, self.positions] = k
+        slot_v[self.slots, :, self.positions] = v
+        # One vectorised gather per buffer (ragged rows padded to Tmax);
+        # fused no-grad attention: mask, softmax and @V in one buffer.
+        ctx = attention_nograd(q[:, :, None, :],
+                               slot_k[self.slots, :, :self.t_max],
+                               slot_v[self.slots, :, :self.t_max],
+                               invalid=self.invalid[:, None, None, :])
+        return ctx[:, :, 0, :].reshape(batch, -1)
 
 
 class SequenceHandle:
@@ -190,7 +327,7 @@ class BatchedEngine(InferenceEngine):
         self.max_batch_size = max_batch_size
         self.weight_mode = weight_mode
         self.kv_mode = kv_mode
-        # Fused-mode slot storage, allocated lazily on first bind.
+        # Fused-mode slot storage, allocated lazily on first use.
         self._slot_k: List[np.ndarray] = []
         self._slot_v: List[np.ndarray] = []
         self._slot_lens = np.zeros(max_batch_size, dtype=np.int64)
@@ -218,69 +355,32 @@ class BatchedEngine(InferenceEngine):
         self._gather_pad = np.zeros((max_batch_size, 0), dtype=np.int64)
         self._block_arange = np.arange(kv_block_tokens, dtype=np.int64)
         # KV-plane accounting: bytes physically copied between KV storage
-        # locations (adoption tails, binds, exports, entry fragments) and
+        # locations (adoption copies and tails, entry snapshots) and
         # block references taken via BlockPool.share.  Plain ints always;
         # mirrored into registry counters once attach_kv_metrics is called.
         self.kv_bytes_copied = 0
         self.blocks_shared = 0
         self._kv_copied_counter = None
         self._blocks_shared_counter = None
-        # Concatenated projection weights: one gemm for Q|K|V and gate|up
-        # per layer instead of five (fused decode only; the exact path keeps
-        # the single-sequence shapes).  In int8 mode the packed matrices are
-        # int8 with per-row scales and the gemms run the fused
-        # dequant-matmul kernel instead.
-        self._fused_w = None
-        self._int8_w = None
-        self._int8_head: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Fused decode and verification pack Q|K|V and gate|up into one
+        # GEMM each.  In int8 mode the packed matrices are int8 with
+        # per-row scales and the GEMMs run the fused dequant-matmul kernel.
+        layers, head = self.layers, self.lm_head
         if weight_mode == "int8":
-            self._int8_w = []
-            for i in range(len(self.layers)):
-                prefix = f"blocks.{i}."
+            def q8(key: str):
+                return qstate[key], qstate[key + INT8_SCALE_SUFFIX]
 
-                def qs(name: str, prefix=prefix):
-                    key = prefix + name
-                    return qstate[key], qstate[key + INT8_SCALE_SUFFIX]
-
-                q_q, s_q = qs("attn.q_proj.weight")
-                q_k, s_k = qs("attn.k_proj.weight")
-                q_v, s_v = qs("attn.v_proj.weight")
-                q_g, s_g = qs("mlp.gate_proj.weight")
-                q_u, s_u = qs("mlp.up_proj.weight")
-                self._int8_w.append({
-                    "qkv": (np.concatenate([q_q, q_k, q_v], axis=0),
-                            np.concatenate([s_q, s_k, s_v])),
-                    "gate_up": (np.concatenate([q_g, q_u], axis=0),
-                                np.concatenate([s_g, s_u])),
-                    "o": qs("attn.o_proj.weight"),
-                    "down": qs("mlp.down_proj.weight"),
-                })
-            self._int8_head = (qstate["lm_head.weight"],
-                               qstate["lm_head.weight" + INT8_SCALE_SUFFIX])
-        else:
-            self._fused_w = [{
-                "qkv": np.concatenate([layer["q"], layer["k"], layer["v"]],
-                                      axis=0),
-                "gate_up": np.concatenate([layer["gate"], layer["up"]],
-                                          axis=0),
-                "o": layer["o"],
-                "down": layer["down"],
-            } for layer in self.layers]
-
-    # ------------------------------------------------------------------
-    # fused-path projections (fp32 packed gemm or int8 fused dequant)
-    # ------------------------------------------------------------------
-    def _mm(self, h: np.ndarray, li: int, name: str) -> np.ndarray:
-        """``h @ W.T`` for fused decode, through the active weight mode."""
-        if self._int8_w is not None:
-            q, scales = self._int8_w[li][name]
-            return matmul_int8_nograd(h, q, scales)
-        return h @ self._fused_w[li][name].T
-
-    def _head(self, x: np.ndarray) -> np.ndarray:
-        if self._int8_head is not None:
-            return matmul_int8_nograd(x, *self._int8_head)
-        return x @ self.lm_head.T
+            layers = [{key: q8(f"blocks.{i}.{name}.weight")
+                       for key, name in BLOCK_WEIGHTS.items()
+                       if not key.endswith("norm")}
+                      for i in range(len(self.layers))]
+            head = q8("lm_head.weight")
+        self._packed = _Packed([{
+            "qkv": _pack(layer["q"], layer["k"], layer["v"]),
+            "gate_up": _pack(layer["gate"], layer["up"]),
+            "o": layer["o"],
+            "down": layer["down"],
+        } for layer in layers], head)
 
     # ------------------------------------------------------------------
     # KV copy/share accounting
@@ -316,68 +416,13 @@ class BatchedEngine(InferenceEngine):
             self._blocks_shared_counter.inc(blocks)
 
     # ------------------------------------------------------------------
-    # prefill
+    # admission: entry adoption + prefill into sequence storage
     # ------------------------------------------------------------------
-    def new_caches(self) -> List[_LayerCache]:
-        """Fresh, empty per-layer caches for one sequence."""
-        return [_LayerCache() for _ in self.layers]
-
-    def prefill(self, prompt_ids: Sequence[int], caches: List[_LayerCache],
-                reused_kv: Optional[List[LayerKV]] = None) -> np.ndarray:
-        """Run a prompt through the model, seeding ``caches``.
-
-        ``reused_kv`` (from :class:`~repro.serve.cache.PrefixCachePool` or a
-        session) preloads the caches with the KV state of the first
-        ``reused`` prompt tokens; only the remaining suffix is computed.
-        Returns the next-token logits of the final prompt position.
-        """
-        if not prompt_ids:
-            raise ValueError("prompt_ids must be non-empty")
-        if caches[0].length:
-            raise ValueError("prefill requires fresh caches")
-        reused = 0
-        if reused_kv is not None:
-            reused = reused_kv[0][0].shape[1]
-            if reused >= len(prompt_ids):
-                raise ValueError("reused prefix must be shorter than the prompt")
-            for cache, (k, v) in zip(caches, reused_kv):
-                cache.preload(k, v)
-            self._count_copied(reused)
-        suffix = [int(i) for i in prompt_ids[reused:]]
-        return self._forward(suffix, caches)
-
-    # ------------------------------------------------------------------
-    # sequence lifecycle
-    # ------------------------------------------------------------------
-    def bind(self, caches: List[_LayerCache]) -> SequenceHandle:
-        """Adopt a prefilled sequence into the engine's decode storage.
-
-        In exact mode the handle keeps the per-sequence caches; in fused
-        mode their KV state is copied into a free batch slot (a one-time
-        cost per request) and the caches are dropped.
-        """
-        if self.decode_mode == "exact":
-            return SequenceHandle(self, None, caches)
-        slot = self._claim_slot()
-        length = caches[0].length
-        if self.kv_mode == "paged":
-            self._ensure_paged(slot, length)
-        else:
-            self._ensure_slot_storage(length)
-        for li, cache in enumerate(caches):
-            self._write_kv_span(li, slot, 0, cache.k, cache.v)
-        self._count_copied(length)
-        self._slot_lens[slot] = length
-        return SequenceHandle(self, slot, None)
-
     def _claim_slot(self) -> int:
         if not self._free_slots:
             raise RuntimeError(f"all {self.max_batch_size} slots in use")
         return self._free_slots.pop()
 
-    # ------------------------------------------------------------------
-    # zero-copy admission: entry adoption + prefill into slot storage
-    # ------------------------------------------------------------------
     def begin_sequence(self, entry: Optional[KVEntry] = None,
                        match: int = 0) -> SequenceHandle:
         """Open a sequence, optionally adopting ``match`` positions from a
@@ -392,46 +437,33 @@ class BatchedEngine(InferenceEngine):
         exact caches adopt by copying ``match`` positions, which is what
         the byte-parity sweep compares against.
         """
-        if entry is None:
-            match = 0
-        else:
-            match = min(match, entry.length)
+        match = 0 if entry is None else min(match, entry.length)
         if self.decode_mode == "exact":
-            caches = self.new_caches()
-            if entry is not None and match > 0:
-                kvs = (entry.layer_kv if isinstance(entry, ArrayEntry)
-                       else entry.materialize(match))
-                for cache, (k, v) in zip(caches, kvs):
-                    cache.preload(k[:, :match], v[:, :match])
+            caches = [_LayerCache() for _ in self.layers]
+            if match > 0:
+                for cache, (k, v) in zip(caches, _entry_kv(entry, match)):
+                    cache.append(k, v)
                 self._count_copied(match)
             return SequenceHandle(self, None, caches)
         slot = self._claim_slot()
         if match > 0:
-            if self.kv_mode == "paged":
-                self._adopt_paged(slot, entry, match)
+            if (self.kv_mode == "paged" and isinstance(entry, BlockEntry)
+                    and entry.plane is self):
+                self._adopt_blocks(slot, entry, match)
             else:
-                self._ensure_slot_storage(match)
-                kvs = (entry.layer_kv if isinstance(entry, ArrayEntry)
-                       else entry.materialize(match))
-                for li, (k, v) in enumerate(kvs):
-                    self._write_kv_span(li, slot, 0, k[:, :match], v[:, :match])
+                # Dense slot, or a foreign payload (array entry, another
+                # engine's blocks): a plain copy into owned storage.
+                self._reserve(slot, match)
+                for li, (k, v) in enumerate(_entry_kv(entry, match)):
+                    self._write_kv_span(li, slot, 0, k, v)
                 self._count_copied(match)
         self._slot_lens[slot] = match
         return SequenceHandle(self, slot, None)
 
-    def _adopt_paged(self, slot: int, entry: KVEntry, match: int) -> None:
-        """Seed a paged slot with ``match`` positions from ``entry``."""
+    def _adopt_blocks(self, slot: int, entry: BlockEntry, match: int) -> None:
+        """Seed a paged slot with ``match`` positions of this engine's
+        block ``entry``: shared full blocks, one copied partial tail."""
         bt = self._kv_block_tokens
-        if not (isinstance(entry, BlockEntry) and entry.plane is self):
-            # Foreign payload (array entry, or another engine's blocks):
-            # fall back to a plain copy into owned blocks.
-            self._ensure_paged(slot, match)
-            kvs = (entry.layer_kv if isinstance(entry, ArrayEntry)
-                   else entry.materialize(match))
-            for li, (k, v) in enumerate(kvs):
-                self._write_kv_span(li, slot, 0, k[:, :match], v[:, :match])
-            self._count_copied(match)
-            return
         n_share = min(match // bt, len(entry.blocks))
         for block in entry.blocks[:n_share]:
             self._block_pool.share(block)
@@ -457,64 +489,25 @@ class BatchedEngine(InferenceEngine):
                     self._flat_v[li][:, lo: lo + rem] = v[:, :rem]
             self._count_copied(rem)
 
+    def _span(self, handle: SequenceHandle) -> _CacheStore:
+        """The KV store extending one sequence by consecutive positions."""
+        if handle.caches is not None:
+            return _CacheStore(self, handle.caches)
+        return _SlotSpan(self, handle.slot)
+
     def prefill_into(self, prompt_ids: Sequence[int],
                      handle: SequenceHandle) -> np.ndarray:
-        """Run the unseen prompt suffix forward, writing K/V directly into
-        the handle's decode storage.
-
-        The zero-copy twin of :meth:`prefill` + :meth:`bind`: positions the
-        handle already holds (adopted via :meth:`begin_sequence`) are
-        skipped, and the computed K/V lands in slot/block storage as it is
-        produced — no ``_LayerCache`` intermediate, no second
-        materialization.  Mirrors ``InferenceEngine._forward`` operation
-        for operation (same unpacked weights, shapes and kernel calls), so
-        its logits match the cache-based prefill bit-for-bit in dense mode
-        and to gather layout in paged mode.  Returns the next-token logits
-        of the final prompt position.
-        """
+        """Run the prompt suffix the handle does not hold yet forward,
+        writing K/V straight into its storage; returns the next-token
+        logits of the final prompt position.  Every mode runs the unpacked
+        projections, so fused prefill is bitwise equal to exact mode."""
         if not prompt_ids:
             raise ValueError("prompt_ids must be non-empty")
-        if handle.caches is not None:
-            suffix = [int(i) for i in prompt_ids[handle.caches[0].length:]]
-            if not suffix:
-                raise ValueError("reused prefix must be shorter than the prompt")
-            return self._forward(suffix, handle.caches)
-        slot = handle.slot
-        start = int(self._slot_lens[slot])
-        suffix = [int(i) for i in prompt_ids[start:]]
+        kv = self._span(handle)
+        suffix = [int(i) for i in prompt_ids[kv.start:]]
         if not suffix:
             raise ValueError("reused prefix must be shorter than the prompt")
-        t = len(suffix)
-        if start + t > self.config.max_seq_len:
-            raise ValueError("prompt exceeds the model context window")
-        if self.kv_mode == "paged":
-            self._ensure_paged(slot, start + t)
-        else:
-            self._ensure_slot_storage(start + t)
-        heads, head_dim = self.n_heads, self.head_dim
-        x = self.tok_emb[np.asarray(suffix, dtype=np.int64)]  # (T, D)
-        for li, layer in enumerate(self.layers):
-            h = _rms_norm(x, layer["attn_norm"])
-            q = (h @ layer["q"].T).reshape(t, heads, head_dim).transpose(1, 0, 2)
-            k = (h @ layer["k"].T).reshape(t, heads, head_dim).transpose(1, 0, 2)
-            v = (h @ layer["v"].T).reshape(t, heads, head_dim).transpose(1, 0, 2)
-            q = self._apply_rope(q, start)
-            k = self._apply_rope(k, start)
-            self._write_kv_span(li, slot, start, k, v)
-            k_all, v_all = self._slot_kv_view(li, slot, start + t)
-            # Contiguous copies so the attention matmuls see the same
-            # operand layouts as the cache-based prefill oracle.
-            k_all = np.ascontiguousarray(k_all)
-            v_all = np.ascontiguousarray(v_all)
-            ctx = attention_nograd(q, k_all, v_all, causal_tail=t) \
-                .transpose(1, 0, 2).reshape(t, -1)
-            x = x + ctx @ layer["o"].T
-            h = _rms_norm(x, layer["mlp_norm"])
-            x = x + (_silu(h @ layer["gate"].T) * (h @ layer["up"].T)) \
-                @ layer["down"].T
-        self._slot_lens[slot] = start + t
-        x = _rms_norm(x[-1:], self.final_norm)
-        return (x @ self.lm_head.T)[0]
+        return self._layer_loop(suffix, kv)
 
     def make_entry(self, handle: SequenceHandle,
                    upto: Optional[int] = None) -> KVEntry:
@@ -605,25 +598,6 @@ class BatchedEngine(InferenceEngine):
             self._free_slots.append(slot)
             handle.slot = None
         handle.caches = None
-
-    def export_kv(self, handle: SequenceHandle,
-                  upto: Optional[int] = None) -> List[LayerKV]:
-        """Copy the first ``upto`` cached positions of every layer."""
-        if handle.caches is not None:
-            out = [cache.snapshot(upto) for cache in handle.caches]
-            self._count_copied(out[0][0].shape[1] if out else 0)
-            return out
-        slot = handle.slot
-        length = int(self._slot_lens[slot]) if upto is None else \
-            min(upto, int(self._slot_lens[slot]))
-        self._count_copied(length)
-        if self.kv_mode == "paged":
-            idx = self._gather_pad[slot, :length]
-            return [(self._flat_k[li][:, idx], self._flat_v[li][:, idx])
-                    for li in range(len(self.layers))]
-        return [(self._slot_k[li][slot, :, :length].copy(),
-                 self._slot_v[li][slot, :, :length].copy())
-                for li in range(len(self.layers))]
 
     # ------------------------------------------------------------------
     # storage growth (dense slots / paged blocks)
@@ -729,6 +703,13 @@ class BatchedEngine(InferenceEngine):
         while len(self._slot_blocks[slot]) * bt < upto:
             self._alloc_block(slot)
 
+    def _reserve(self, slot: int, upto: int) -> None:
+        """Make ``slot`` able to hold ``upto`` tokens in either layout."""
+        if self.kv_mode == "paged":
+            self._ensure_paged(slot, upto)
+        else:
+            self._ensure_slot_storage(upto)
+
     def kv_stats(self) -> Dict[str, object]:
         """KV-storage accounting of the fused decode path.
 
@@ -738,9 +719,7 @@ class BatchedEngine(InferenceEngine):
         sequence lengths for the paged one.  The decode benchmark derives
         its KV-bytes-per-session numbers from this.
         """
-        itemsize = self.tok_emb.dtype.itemsize
-        token_bytes = (2 * len(self.layers) * self.n_heads
-                       * self.head_dim * itemsize)
+        token_bytes = self._token_bytes
         out: Dict[str, object] = {"mode": self.kv_mode,
                                   "token_bytes": token_bytes,
                                   "bytes_copied": self.kv_bytes_copied,
@@ -790,84 +769,8 @@ class BatchedEngine(InferenceEngine):
         if self.decode_mode == "exact":
             return np.stack([self._forward([int(t)], handle.caches)
                              for t, handle in zip(tokens, handles)])
-        return self._decode_fused(tokens, handles)
-
-    def _decode_fused(self, tokens: Sequence[int],
-                      handles: Sequence[SequenceHandle]) -> np.ndarray:
-        batch = len(tokens)
-        heads, head_dim = self.n_heads, self.head_dim
-        slots = np.asarray([handle.slot for handle in handles])
-        positions = self._slot_lens[slots].copy()  # (B,) pre-append lengths
-        if int(positions.max()) >= self.config.max_seq_len:
-            raise ValueError("a sequence exceeds the model context window")
-        paged = self.kv_mode == "paged"
-        if paged:
-            for b, handle in enumerate(handles):
-                self._ensure_paged(handle.slot, int(positions[b]) + 1)
-        else:
-            self._ensure_slot_storage(int(positions.max()) + 1)
-        x = self.tok_emb[np.asarray(tokens, dtype=np.int64)]  # (B, D)
-        cos = self._cos[positions][:, None, :]  # (B, 1, Dh)
-        sin = self._sin[positions][:, None, :]
-        half = head_dim // 2
-        lengths = positions + 1  # per-sequence lengths after the append
-        t_max = int(lengths.max())
-        invalid = np.arange(t_max)[None, :] >= lengths[:, None]  # (B, Tmax)
-        scale = 1.0 / np.sqrt(head_dim)
-        dim = heads * head_dim
-        if paged:
-            # Flat storage indices of each sequence's history (padded rows:
-            # stale/zero indices land on once-zeroed storage, and masked
-            # scores give them exactly-zero softmax weight) and of each
-            # new token's write position — one store + one gather per layer
-            # across the whole batch, no per-sequence loop.
-            # Raveled for np.take: ~7x faster than 2-D fancy indexing on
-            # the (H, N, Dh) flat views (take hits the optimized
-            # contiguous-row copy path, mapiter does not).
-            gather_idx = self._gather_pad[slots, :t_max].ravel()  # (B*Tmax,)
-            write_idx = self._gather_pad[slots, positions]  # (B,)
-        for li, layer in enumerate(self.layers):
-            h = _rms_norm(x, layer["attn_norm"])
-            qkv = self._mm(h, li, "qkv")  # (B, 3*D)
-            q = qkv[:, :dim].reshape(batch, heads, head_dim)
-            k = qkv[:, dim: 2 * dim].reshape(batch, heads, head_dim)
-            v = qkv[:, 2 * dim:].reshape(batch, heads, head_dim)
-            q = q * cos + np.concatenate([-q[..., half:], q[..., :half]], -1) * sin
-            k = k * cos + np.concatenate([-k[..., half:], k[..., :half]], -1) * sin
-            if paged:
-                self._flat_k[li][:, write_idx] = k.transpose(1, 0, 2)
-                self._flat_v[li][:, write_idx] = v.transpose(1, 0, 2)
-                k_all = np.take(self._flat_k[li], gather_idx, axis=1) \
-                    .reshape(heads, batch, t_max, head_dim)
-                v_all = np.take(self._flat_v[li], gather_idx, axis=1) \
-                    .reshape(heads, batch, t_max, head_dim)
-                # Head-major batching: per-(h, b) operand slices are the
-                # same contiguous (Tmax, Dh) layouts the dense path feeds
-                # the kernel, so the gathered histories stay bit-identical.
-                ctx = attention_nograd(q.transpose(1, 0, 2)[:, :, None, :],
-                                       k_all, v_all, scale=scale,
-                                       invalid=invalid[None, :, None, :])
-                ctx = ctx[:, :, 0, :].transpose(1, 0, 2).reshape(batch, -1)
-            else:
-                self._slot_k[li][slots, :, positions] = k
-                self._slot_v[li][slots, :, positions] = v
-                # One vectorised gather per buffer (ragged rows padded to Tmax).
-                k_all = self._slot_k[li][slots, :, :t_max]  # (B, H, Tmax, Dh)
-                v_all = self._slot_v[li][slots, :, :t_max]
-                # Fused no-grad attention: mask, softmax and @V in one buffer.
-                ctx = attention_nograd(q[:, :, None, :], k_all, v_all,
-                                       scale=scale,
-                                       invalid=invalid[:, None, None, :])
-                ctx = ctx[:, :, 0, :].reshape(batch, -1)
-            x = x + self._mm(ctx, li, "o")
-            h = _rms_norm(x, layer["mlp_norm"])
-            gate_up = self._mm(h, li, "gate_up")  # (B, 2*ffn)
-            ffn = gate_up.shape[1] // 2
-            x = x + self._mm(_silu(gate_up[:, :ffn]) * gate_up[:, ffn:],
-                             li, "down")
-        self._slot_lens[slots] = lengths
-        x = _rms_norm(x, self.final_norm)
-        return self._head(x)  # (B, vocab)
+        kv = _DecodeBatch(self, [handle.slot for handle in handles])
+        return self._layer_loop(tokens, kv, self._packed, all_rows=True)
 
     # ------------------------------------------------------------------
     # speculative decoding primitives
@@ -885,11 +788,9 @@ class BatchedEngine(InferenceEngine):
         """
         if not tokens:
             raise ValueError("empty verification chain")
-        if handle.length + len(tokens) > self.config.max_seq_len:
-            raise ValueError("verification chain exceeds the context window")
-        if handle.caches is not None:
-            return self._forward_all([int(t) for t in tokens], handle.caches)
-        return self._verify_fused([int(t) for t in tokens], handle)
+        proj = None if handle.caches is not None else self._packed
+        return self._layer_loop([int(t) for t in tokens], self._span(handle),
+                                proj, all_rows=True)
 
     def truncate_kv(self, handle: SequenceHandle, length: int) -> None:
         """Roll a sequence's cache back to ``length`` positions.
@@ -923,76 +824,6 @@ class BatchedEngine(InferenceEngine):
                 else:
                     self._block_pool.free(block)
 
-    def _forward_all(self, ids: Sequence[int],
-                     caches: List[_LayerCache]) -> np.ndarray:
-        """Exact-path multi-token forward returning logits at *every*
-        position (``InferenceEngine._forward`` keeps only the last row)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        x = self.tok_emb[ids]  # (T, D)
-        start = caches[0].length
-        for layer, cache in zip(self.layers, caches):
-            h = _rms_norm(x, layer["attn_norm"])
-            t = h.shape[0]
-            q = (h @ layer["q"].T).reshape(t, self.n_heads, self.head_dim) \
-                .transpose(1, 0, 2)
-            k = (h @ layer["k"].T).reshape(t, self.n_heads, self.head_dim) \
-                .transpose(1, 0, 2)
-            v = (h @ layer["v"].T).reshape(t, self.n_heads, self.head_dim) \
-                .transpose(1, 0, 2)
-            q = self._apply_rope(q, start)
-            k = self._apply_rope(k, start)
-            cache.append(k, v)
-            ctx = attention_nograd(q, cache.k, cache.v, causal_tail=t) \
-                .transpose(1, 0, 2).reshape(t, -1)
-            x = x + ctx @ layer["o"].T
-            h = _rms_norm(x, layer["mlp_norm"])
-            x = x + (_silu(h @ layer["gate"].T) * (h @ layer["up"].T)) \
-                @ layer["down"].T
-        x = _rms_norm(x, self.final_norm)
-        return x @ self.lm_head.T  # (T, vocab)
-
-    def _verify_fused(self, tokens: List[int],
-                      handle: SequenceHandle) -> np.ndarray:
-        """Fused-path multi-token forward against slot storage.
-
-        The single-sequence twin of :meth:`_decode_fused`: same packed
-        projections (fp32 or int8), same storage writes, but ``T`` chained
-        positions at once with the exact path's ``causal_tail`` masking —
-        one GEMM set per layer instead of one per token.
-        """
-        slot = handle.slot
-        start = int(self._slot_lens[slot])
-        t = len(tokens)
-        if self.kv_mode == "paged":
-            self._ensure_paged(slot, start + t)
-        else:
-            self._ensure_slot_storage(start + t)
-        heads, head_dim = self.n_heads, self.head_dim
-        dim = heads * head_dim
-        x = self.tok_emb[np.asarray(tokens, dtype=np.int64)]  # (T, D)
-        for li, layer in enumerate(self.layers):
-            h = _rms_norm(x, layer["attn_norm"])
-            qkv = self._mm(h, li, "qkv")  # (T, 3*D)
-            q = qkv[:, :dim].reshape(t, heads, head_dim).transpose(1, 0, 2)
-            k = qkv[:, dim: 2 * dim].reshape(t, heads, head_dim) \
-                .transpose(1, 0, 2)
-            v = qkv[:, 2 * dim:].reshape(t, heads, head_dim).transpose(1, 0, 2)
-            q = self._apply_rope(q, start)
-            k = self._apply_rope(k, start)
-            self._write_kv_span(li, slot, start, k, v)
-            k_all, v_all = self._slot_kv_view(li, slot, start + t)
-            ctx = attention_nograd(q, k_all, v_all, causal_tail=t) \
-                .transpose(1, 0, 2).reshape(t, -1)
-            x = x + self._mm(ctx, li, "o")
-            h = _rms_norm(x, layer["mlp_norm"])
-            gate_up = self._mm(h, li, "gate_up")
-            ffn = gate_up.shape[1] // 2
-            x = x + self._mm(_silu(gate_up[:, :ffn]) * gate_up[:, ffn:],
-                             li, "down")
-        self._slot_lens[slot] = start + t
-        x = _rms_norm(x, self.final_norm)
-        return self._head(x)  # (T, vocab)
-
     def _write_kv_span(self, li: int, slot: int, start: int,
                        k: np.ndarray, v: np.ndarray) -> None:
         """Store ``(H, T, Dh)`` K/V rows at positions ``start..start+T-1``."""
@@ -1004,13 +835,3 @@ class BatchedEngine(InferenceEngine):
         idx = self._gather_pad[slot, start: start + t]
         self._flat_k[li][:, idx] = k
         self._flat_v[li][:, idx] = v
-
-    def _slot_kv_view(self, li: int, slot: int, upto: int
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """The first ``upto`` positions of a slot's K/V (view if dense,
-        gathered copy if paged)."""
-        if self.kv_mode != "paged":
-            return (self._slot_k[li][slot, :, :upto],
-                    self._slot_v[li][slot, :, :upto])
-        idx = self._gather_pad[slot, :upto]
-        return self._flat_k[li][:, idx], self._flat_v[li][:, idx]

@@ -33,6 +33,68 @@ def tokenizer(zoo):
     return zoo.tokenizer
 
 
+#: Two-phrase corpus the small serving-suite models are trained on.
+SERVE_CORPUS = [[1, 7, 8, 9, 10, 11, 2], [1, 5, 6, 5, 6, 2]] * 4
+
+
+def _train_serve_model(**config):
+    from repro.nn.trainer import TrainConfig, Trainer
+    from repro.nn.transformer import TransformerConfig, TransformerLM
+
+    m = TransformerLM(TransformerConfig(vocab_size=24, n_heads=2,
+                                        max_seq_len=48, **config))
+    Trainer(m, pad_id=0, config=TrainConfig(epochs=25, batch_size=8, lr=3e-3)
+            ).fit(SERVE_CORPUS)
+    return m
+
+
+def _read_only(model):
+    """Yield ``model``, then fail teardown if any test changed its weights."""
+    before = model.state_dict()
+    yield model
+    after = model.state_dict()
+    assert all(np.array_equal(before[k], after[k]) for k in before), \
+        "a test mutated a shared session model"
+
+
+@pytest.fixture(scope="session")
+def serve_model():
+    """The serving suites' target model: 24-vocab, 2 layers, trained once
+    per session on :data:`SERVE_CORPUS`.  Shared, so read-only."""
+    yield from _read_only(_train_serve_model(dim=16, n_layers=2, seed=0))
+
+
+@pytest.fixture(scope="session")
+def serve_draft():
+    """A cheaper model trained on the same corpus — the speculative draft."""
+    yield from _read_only(_train_serve_model(dim=8, n_layers=1, seed=1))
+
+
+class ManualClock:
+    """Injectable clock that only moves when a test sets ``t``."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        return self.t
+
+
+def make_server(model, **cfg):
+    """An ``InProcessServer`` with the serving suites' defaults: fused,
+    no prefix cache, batch 4, EOS id 2."""
+    from repro.serve import InProcessServer, ServeConfig
+
+    cfg.setdefault("decode_mode", "fused")
+    cfg.setdefault("prefix_cache", False)
+    cfg.setdefault("max_batch_size", 4)
+    draft_model = cfg.pop("draft_model", None)
+    clock = cfg.pop("clock", None)
+    kwargs = {"clock": clock} if clock is not None else {}
+    return InProcessServer(model, config=ServeConfig(**cfg), eos_id=2,
+                           draft_model=draft_model, **kwargs)
+
+
 def numeric_grad(fn, x, eps=1e-6):
     """Central-difference gradient of scalar fn at numpy array x."""
     grad = np.zeros_like(x, dtype=np.float64)

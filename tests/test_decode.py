@@ -26,52 +26,21 @@ from repro.nn.kernels import (INT8_SCALE_SUFFIX, dequantize_int8,
                               dequantize_state_dict, is_quantized_state,
                               matmul_int8_nograd, quantize_int8,
                               quantize_state_dict)
-from repro.nn.trainer import TrainConfig, Trainer
-from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (BatchedEngine, BlockPool, BlockPoolError,
                          InProcessServer, SamplingParams, ServeConfig,
                          dequantized_oracle_model)
-
-CORPUS = [[1, 7, 8, 9, 10, 11, 2], [1, 5, 6, 5, 6, 2]] * 4
-
-
-def _train(config):
-    m = TransformerLM(config)
-    Trainer(m, pad_id=0, config=TrainConfig(epochs=25, batch_size=8, lr=3e-3)
-            ).fit(CORPUS)
-    return m
+from tests.conftest import ManualClock
+from tests.conftest import make_server as _server
 
 
-@pytest.fixture(scope="module")
-def model():
-    return _train(TransformerConfig(vocab_size=24, dim=16, n_layers=2,
-                                    n_heads=2, max_seq_len=48, seed=0))
+@pytest.fixture
+def model(serve_model):
+    return serve_model
 
 
-@pytest.fixture(scope="module")
-def draft():
-    """A cheaper model trained on the same corpus — the speculative draft."""
-    return _train(TransformerConfig(vocab_size=24, dim=8, n_layers=1,
-                                    n_heads=2, max_seq_len=48, seed=1))
-
-
-class ManualClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-
-def _server(model, **cfg):
-    cfg.setdefault("decode_mode", "fused")
-    cfg.setdefault("prefix_cache", False)
-    cfg.setdefault("max_batch_size", 4)
-    draft_model = cfg.pop("draft_model", None)
-    clock = cfg.pop("clock", None)
-    kwargs = {"clock": clock} if clock is not None else {}
-    return InProcessServer(model, config=ServeConfig(**cfg), eos_id=2,
-                           draft_model=draft_model, **kwargs)
+@pytest.fixture
+def draft(serve_draft):
+    return serve_draft
 
 
 PROMPTS = ([1, 7], [1, 5, 6, 5], [1, 7, 8, 9, 10], [1, 5],
@@ -442,18 +411,16 @@ def test_paged_fresh_blocks_are_zeroed(model):
     masks — here the storage is physically clean)."""
     eng = BatchedEngine(model, decode_mode="fused", kv_mode="paged",
                         kv_block_tokens=4, max_batch_size=2)
-    caches = eng.new_caches()
-    eng.prefill([1, 7, 8, 9, 10, 11, 7, 8, 9], caches)  # 9 tokens → 3 blocks
-    handle = eng.bind(caches)
+    handle = eng.begin_sequence()  # 9 tokens → 3 blocks
+    eng.prefill_into([1, 7, 8, 9, 10, 11, 7, 8, 9], handle)
     blocks_a = list(eng._slot_blocks[handle.slot])
     assert len(blocks_a) == 3
     eng.release(handle)
     # The hazard is real: freed blocks still hold the old sequence's KV
     # (storage layout is (H, blocks, bt, Dh)).
     assert any(np.any(eng._page_k[0][:, b] != 0.0) for b in blocks_a)
-    caches = eng.new_caches()
-    eng.prefill([1, 5, 6], caches)  # 3 tokens → 1 reused block
-    handle2 = eng.bind(caches)
+    handle2 = eng.begin_sequence()
+    eng.prefill_into([1, 5, 6], handle2)  # 3 tokens → 1 reused block
     blocks_b = eng._slot_blocks[handle2.slot]
     assert len(blocks_b) == 1 and blocks_b[0] in blocks_a
     for li in range(len(eng.layers)):
@@ -483,9 +450,8 @@ def test_dense_slot_reuse_masks_stale_tail(model):
 def test_truncate_kv_frees_whole_blocks(model):
     eng = BatchedEngine(model, decode_mode="fused", kv_mode="paged",
                         kv_block_tokens=4, max_batch_size=1)
-    caches = eng.new_caches()
-    eng.prefill([1, 7, 8, 9, 10, 11, 7, 8, 9], caches)  # 3 blocks
-    handle = eng.bind(caches)
+    handle = eng.begin_sequence()
+    eng.prefill_into([1, 7, 8, 9, 10, 11, 7, 8, 9], handle)  # 3 blocks
     assert len(eng._slot_blocks[handle.slot]) == 3
     eng.truncate_kv(handle, 4)  # 4 tokens → 1 block retained
     assert handle.length == 4

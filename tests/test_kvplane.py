@@ -20,47 +20,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.trainer import TrainConfig, Trainer
-from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.parallel import parallel_available
 from repro.serve import (ArrayEntry, BatchedEngine, BlockEntry, BlockPool,
-                         BlockPoolError, InProcessServer, PrefixCachePool,
-                         SamplingParams, ServeConfig, SessionStore,
-                         common_prefix_length, common_prefix_length_np)
+                         BlockPoolError, PrefixCachePool, SamplingParams,
+                         ServeConfig, SessionStore, common_prefix_length,
+                         common_prefix_length_np)
 from repro.serve.fleet import FleetServer
+from tests.conftest import make_server as _server
 
 needs_fork = pytest.mark.skipif(not parallel_available(),
                                 reason="requires os.fork")
 
-CORPUS = [[1, 7, 8, 9, 10, 11, 2], [1, 5, 6, 5, 6, 2]] * 4
+
+@pytest.fixture
+def model(serve_model):
+    return serve_model
 
 
-def _train(config):
-    m = TransformerLM(config)
-    Trainer(m, pad_id=0, config=TrainConfig(epochs=25, batch_size=8, lr=3e-3)
-            ).fit(CORPUS)
-    return m
-
-
-@pytest.fixture(scope="module")
-def model():
-    return _train(TransformerConfig(vocab_size=24, dim=16, n_layers=2,
-                                    n_heads=2, max_seq_len=48, seed=0))
-
-
-@pytest.fixture(scope="module")
-def draft():
-    return _train(TransformerConfig(vocab_size=24, dim=8, n_layers=1,
-                                    n_heads=2, max_seq_len=48, seed=1))
-
-
-def _server(model, **cfg):
-    cfg.setdefault("decode_mode", "fused")
-    cfg.setdefault("prefix_cache", False)
-    cfg.setdefault("max_batch_size", 4)
-    draft_model = cfg.pop("draft_model", None)
-    return InProcessServer(model, config=ServeConfig(**cfg), eos_id=2,
-                           draft_model=draft_model)
+@pytest.fixture
+def draft(serve_draft):
+    return serve_draft
 
 
 SHARED = [1, 7, 8, 9, 10, 11, 7, 8]  # 8 tokens == default min_match_tokens
@@ -249,31 +228,49 @@ def test_block_pool_refcount_random_schedules(ops, n_blocks):
 # ---------------------------------------------------------------------------
 
 
+def _exact_kv(model, prompt, upto=None, reuse=0):
+    """Exact-mode prefill of ``prompt`` on top of an adopted ``reuse``-token
+    prefix of it: the oracle logits and stored KV."""
+    oracle = BatchedEngine(model, decode_mode="exact")
+    entry = None
+    if reuse:
+        src = oracle.begin_sequence()
+        oracle.prefill_into(prompt, src)
+        entry = oracle.make_entry(src, reuse)
+    handle = oracle.begin_sequence(entry, reuse)
+    logits = oracle.prefill_into(prompt, handle)
+    return logits, oracle.make_entry(handle, upto).materialize()
+
+
 @pytest.mark.parametrize("kv_mode", ["dense", "paged"])
-def test_prefill_into_matches_prefill_bind(model, kv_mode):
-    """``begin_sequence`` + ``prefill_into`` is the zero-intermediate twin of
-    ``prefill`` + ``bind``: identical logits and identical stored KV."""
+def test_prefill_into_matches_exact_mode(model, kv_mode):
+    """Fused ``prefill_into`` writes K/V straight into slot storage yet is
+    bitwise equal to exact mode: identical logits and identical stored KV,
+    for a fresh prompt and for the suffix after an adopted prefix."""
     prompt = [1, 7, 8, 9, 10, 11, 7, 8, 9]
     eng = BatchedEngine(model, decode_mode="fused", kv_mode=kv_mode,
                         kv_block_tokens=4, max_batch_size=2)
-    caches = eng.new_caches()
-    logits_a = eng.prefill(prompt, caches)
-    handle_a = eng.bind(caches)
-    handle_b = eng.begin_sequence()
-    logits_b = eng.prefill_into(prompt, handle_b)
-    assert np.array_equal(logits_a, logits_b)
-    for (ka, va), (kb, vb) in zip(eng.export_kv(handle_a),
-                                  eng.export_kv(handle_b)):
-        assert np.array_equal(ka, kb) and np.array_equal(va, vb)
-    eng.release(handle_a)
-    eng.release(handle_b)
+    handle = eng.begin_sequence()
+    logits = eng.prefill_into(prompt, handle)
+    entry = eng.make_entry(handle, 6)
+    adopted = eng.begin_sequence(entry, 6)
+    for reuse, h, got in ((0, handle, logits),
+                          (6, adopted, eng.prefill_into(prompt, adopted))):
+        logits_x, kv_x = _exact_kv(model, prompt, reuse=reuse)
+        assert np.array_equal(got, logits_x)
+        snapshot = eng.make_entry(h)
+        for (ka, va), (kb, vb) in zip(kv_x, snapshot.materialize()):
+            assert np.array_equal(ka, kb) and np.array_equal(va, vb)
+        snapshot.release()
+        eng.release(h)
+    entry.release()
     if eng._block_pool is not None:
         assert eng._block_pool.n_allocated == 0
 
 
 def test_make_entry_materialize_matches_export(model):
-    """A block entry's materialized arrays equal ``export_kv`` of the slot it
-    snapshotted, at every cut point (block-aligned and mid-block)."""
+    """A block entry's materialized arrays equal the KV exact mode exports
+    for the same prompt, at every cut point (block-aligned and mid-block)."""
     prompt = [1, 7, 8, 9, 10, 11, 7, 8, 9, 10]
     eng = BatchedEngine(model, decode_mode="fused", kv_mode="paged",
                         kv_block_tokens=4, max_batch_size=2)
@@ -283,7 +280,7 @@ def test_make_entry_materialize_matches_export(model):
         entry = eng.make_entry(handle, upto)
         assert isinstance(entry, BlockEntry) and entry.length == upto
         for (ke, ve), (kx, vx) in zip(entry.materialize(),
-                                      eng.export_kv(handle, upto)):
+                                      _exact_kv(model, prompt, upto)[1]):
             assert np.array_equal(ke, kx) and np.array_equal(ve, vx)
         entry.release()
     eng.release(handle)
@@ -326,10 +323,11 @@ def test_partial_tail_adoption_copies_one_fragment(model):
     before = eng.kv_bytes_copied
     adopted = eng.begin_sequence(entry, len(prompt))
     assert eng.kv_bytes_copied - before == 2 * eng._token_bytes
-    reference = entry.materialize()
-    for (ke, ve), (kx, vx) in zip(reference,
-                                  eng.export_kv(adopted, len(prompt))):
+    snapshot = eng.make_entry(adopted, len(prompt))
+    for (ke, ve), (kx, vx) in zip(entry.materialize(),
+                                  snapshot.materialize()):
         assert np.array_equal(ke, kx) and np.array_equal(ve, vx)
+    snapshot.release()
     eng.release(src)
     eng.release(adopted)
     entry.release()

@@ -4,37 +4,23 @@ import numpy as np
 import pytest
 
 from repro.nn.infer import InferenceEngine
-from repro.nn.trainer import TrainConfig, Trainer
-from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (BatchedEngine, InProcessServer, PrefixCachePool,
                          Request, RequestStatus, SamplingParams, Scheduler,
                          ServeConfig, SessionStore, WorkloadSpec,
                          common_prefix_length, run_serve_benchmark,
                          synthetic_prompts)
 from repro.serve.request import FinishReason
+from tests.conftest import ManualClock
+
+
+@pytest.fixture
+def model(serve_model):
+    return serve_model
 
 
 @pytest.fixture(scope="module")
-def model():
-    config = TransformerConfig(vocab_size=24, dim=16, n_layers=2, n_heads=2,
-                               max_seq_len=48, seed=0)
-    m = TransformerLM(config)
-    Trainer(m, pad_id=0, config=TrainConfig(epochs=25, batch_size=8, lr=3e-3)
-            ).fit([[1, 7, 8, 9, 10, 11, 2], [1, 5, 6, 5, 6, 2]] * 4)
-    return m
-
-
-@pytest.fixture(scope="module")
-def engine(model):
-    return InferenceEngine(model)
-
-
-class ManualClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
+def engine(serve_model):
+    return InferenceEngine(serve_model)
 
 
 def _exact_server(model, **kwargs):
@@ -112,13 +98,32 @@ def test_fused_slot_reuse_across_generations(model, engine):
 
 def test_batched_engine_rejects_overflow(model):
     eng = BatchedEngine(model, max_batch_size=1)
-    caches = eng.new_caches()
-    eng.prefill([1, 7], caches)
-    eng.bind(caches)
-    caches2 = eng.new_caches()
-    eng.prefill([1, 5], caches2)
+    eng.prefill_into([1, 7], eng.begin_sequence())
     with pytest.raises(RuntimeError):
-        eng.bind(caches2)
+        eng.begin_sequence()
+
+
+@pytest.mark.parametrize("op", ["prefill_into", "decode"])
+@pytest.mark.parametrize("decode_mode,kv_mode", [
+    ("exact", "dense"), ("fused", "dense"), ("fused", "paged")])
+def test_context_window_overflow_is_a_typed_error(model, decode_mode,
+                                                  kv_mode, op):
+    """Every mode refuses to run past ``max_seq_len`` with the same typed
+    error, before touching the sequence's stored state."""
+    eng = BatchedEngine(model, decode_mode=decode_mode, kv_mode=kv_mode,
+                        max_batch_size=1, kv_block_tokens=4)
+    window = model.config.max_seq_len
+    handle = eng.begin_sequence()
+    with pytest.raises(ValueError, match="exceeds the model context window"):
+        if op == "prefill_into":
+            eng.prefill_into([1] * (window + 1), handle)
+        else:
+            eng.prefill_into([1] * window, handle)  # fills the window
+            eng.decode([1], [handle])
+    assert handle.length == (0 if op == "prefill_into" else window)
+    eng.release(handle)
+    if eng._block_pool is not None:
+        assert eng._block_pool.n_allocated == 0
 
 
 # ---------------------------------------------------------------------------

@@ -382,8 +382,8 @@ def test_submit_without_stream_sends_no_token_events(model):
         handle.stop()
 
 
-def test_protocol_errors_keep_connection_alive(model):
-    handle = _start_server(model)
+def test_protocol_errors_keep_connection_alive(long_model):
+    handle = _start_server(long_model)
     host, port = handle.server.address
     try:
         with NetClient(host, port) as client:
@@ -410,21 +410,21 @@ def test_protocol_errors_keep_connection_alive(model):
             event = client.recv_event()
             assert event["code"] == protocol.E_BAD_PARAMS
 
-            # Duplicate in-flight id.
+            # Duplicate in-flight id.  "dup" must still be running when the
+            # second frame lands, so it asks for far more tokens than the
+            # exchange takes and is cancelled once the error has arrived.
             first = client.submit(prompt_ids=[1, 2], stream=False,
-                                  params={"max_new_tokens": 4},
+                                  params={"max_new_tokens": 512},
                                   client_id="dup")
+            assert client.wait_accepted([first]) == [first]
             client.send_frame({"op": "submit", "id": "dup",
                                "prompt_ids": [1, 2]})
-            saw_duplicate = False
-            for event in client.events_for("dup"):
-                if (event.get("event") == "error"
-                        and event.get("code") == protocol.E_DUPLICATE):
-                    saw_duplicate = True
-                    break
-            assert saw_duplicate
+            event = next(client.events_for("dup"))
+            assert event["event"] == "error"
+            assert event["code"] == protocol.E_DUPLICATE
+            client.cancel(first)
             result = client.wait(first)
-            assert result.ok
+            assert result.status == "cancelled"
 
             # After all that abuse the connection still answers probes.
             assert client.health()["status"] in ("ok", "draining")

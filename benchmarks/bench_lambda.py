@@ -11,32 +11,22 @@ Unconditional gates: all K variants stay resident at <= ~2x one model's
 arena bytes (vs the Kx naive deployment), every routed token stream is
 byte-identical to its oracle in exact mode, scalar/layerwise cold
 materialization stays within a small multiple of ``engine.merge``, no
-replica respawns, no leaked shared-memory segments.  The aggregate
-concurrent-over-sequential throughput target is core-count-conditioned
-exactly like ``bench_fleet``; a starved box degrades it to a sanity
-bound.  The report is written to ``BENCH_lambda.json`` at the repo root
-when ``REPRO_BENCH_SNAPSHOT=1``.
+replica respawns, router conservation, no leaked shared-memory segments.
+The aggregate concurrent-over-sequential throughput target is
+core-count-conditioned exactly like ``bench_fleet``; a starved box
+degrades it to a sanity bound.  The gates are the benchmark module's own
+(:mod:`repro.serve.lambda_bench`); ``repro bench lambda --json
+BENCH_lambda.json`` writes the snapshot.
 """
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
 from benchmarks.conftest import FULL, print_result
+from repro.bench import failed, format_gates
 from repro.parallel import parallel_available
-from repro.serve.lambda_bench import (format_lambda_report,
-                                      run_lambda_benchmark,
-                                      write_lambda_snapshot)
-
-#: Where the perf-trajectory snapshot lands (repo root, committed).
-SNAPSHOT = Path(__file__).resolve().parent.parent / "BENCH_lambda.json"
-
-#: On a core-starved box the K variant replicas time-slice; the fleet arm
-#: still must not collapse under routing/IPC overhead vs the sequential
-#: oracles.
-MIN_STARVED_RATIO = 0.33
+from repro.serve.lambda_bench import format_lambda_report, run_lambda_benchmark
 
 
 def test_lambda_fleet_memory_parity_and_throughput(benchmark):
@@ -50,33 +40,8 @@ def test_lambda_fleet_memory_parity_and_throughput(benchmark):
                  "(nano backbone)", format_lambda_report(result))
     print_result("Serve: per-variant traffic",
                  json.dumps(result["variants"], indent=2, sort_keys=True))
-    if os.environ.get("REPRO_BENCH_SNAPSHOT", "0") == "1":
-        write_lambda_snapshot(result, SNAPSHOT)
-
-    memory = result["memory"]
-    assert memory["plan_over_model"] <= memory["limit"], (
-        f"plan residency {memory['plan_over_model']:.2f}x one model exceeds "
-        f"the {memory['limit']:.1f}x gate ({memory['plan_bytes']} bytes)")
-    assert result["parity_ok"], \
-        "a lazy-materialized variant diverged from its fully-built oracle"
-    cold = result["cold"]
-    assert cold["worst_gated_ratio"] <= cold["limit"], (
-        f"cold materialization {cold['worst_gated_ratio']:.2f}x engine.merge "
-        f"exceeds the {cold['limit']:.1f}x gate")
-    assert result["respawns"] == 0, \
-        f"replicas died during a healthy benchmark: {result['respawns']}"
-    assert result["router"]["conservation_ok"] == 1, result["router"]
-    assert result["leaked_segments"] == [], (
-        f"leaked shared-memory segments: {result['leaked_segments']}")
-    if result["target_applies"]:
-        assert result["speedup"] >= result["speedup_target"], (
-            f"expected >= {result['speedup_target']}x concurrent-over-"
-            f"sequential tokens/sec at {result['replicas']} replicas on "
-            f"{result['cpu_count']} cores, got {result['speedup']:.2f}x")
-    else:
-        assert result["speedup"] >= MIN_STARVED_RATIO, (
-            f"variant-fleet overhead out of bounds on a starved machine "
-            f"({result['cpu_count']} core(s)): {result['speedup']:.2f}x")
+    print(format_gates(result["gates"]))
+    assert not failed(result["gates"]), format_gates(result["gates"])
 
     benchmark(lambda: run_lambda_benchmark(
         backbone="nano", n_variants=3, requests_per_variant=2,

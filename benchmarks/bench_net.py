@@ -4,68 +4,32 @@ The acceptance workload from the serve.net design (DESIGN.md §9): the
 nano backbone behind a real 127.0.0.1 TCP listener, driven by the
 open-loop load generator.  Five phases — wire/in-process byte parity,
 Poisson streaming SLOs, 9:1 two-tenant fairness, overload shedding, and
-graceful drain — each asserted here and summarised in ``BENCH_net.json``
-at the repo root when ``REPRO_BENCH_SNAPSHOT=1``.
+graceful drain — each gated in :mod:`repro.serve.net.bench` and
+summarised in ``BENCH_net.json`` (``repro bench net --json
+BENCH_net.json``).
 
-SLO bounds live next to the driver in :mod:`repro.serve.net.bench`; they
-are deliberately generous (catching order-of-magnitude regressions on
-shared CI boxes, not benchmarking the machine).  The structural gates —
-byte identity, explicit sheds with positive retry hints, zero protocol
-errors, conservation across drain — are exact and unconditional.
+The SLO bounds are deliberately generous (catching order-of-magnitude
+regressions on shared CI boxes, not benchmarking the machine).  The
+structural gates — byte identity, explicit sheds with positive retry
+hints, zero protocol errors, conservation across drain — are exact and
+unconditional.
 """
 
 import json
-import os
 from pathlib import Path
 
 from benchmarks.conftest import print_result
+from repro.bench import failed, format_gates
 from repro.serve.loadgen import WorkloadSpec, arrival_schedule
-from repro.serve.net.bench import (FAIRNESS_RATIO_MAX, MIN_TOKENS_PER_SEC,
-                                   TTFT_P50_SLO_S, TTFT_P99_SLO_S,
-                                   format_net_report, run_net_benchmark,
-                                   write_net_snapshot)
-
-#: Where the committed socket-SLO snapshot lands (repo root).
-SNAPSHOT = Path(__file__).resolve().parent.parent / "BENCH_net.json"
+from repro.serve.net.bench import format_net_report, run_net_benchmark
 
 
 def test_net_serving_slos(benchmark):
     report = run_net_benchmark(backbone="nano", n_requests=16, seed=3)
     print_result("Serving: socket front door (nano backbone)",
                  format_net_report(report))
-    if os.environ.get("REPRO_BENCH_SNAPSHOT", "0") == "1":
-        write_net_snapshot(report, SNAPSHOT)
-
-    # Structural gates: exact, machine-independent.
-    assert report["parity"]["byte_identical"], (
-        "socket completions diverged from InProcessServer.complete")
-    assert report["parity"]["stream_mismatches"] == 0
-    assert report["streaming"]["n_errors"] == 0
-    assert report["streaming"]["protocol_errors"] == 0
-    assert report["streaming"]["conservation_ok"]
-    assert report["overload"]["n_shed"] > 0, (
-        "overload burst was absorbed silently — admission never bit")
-    assert report["overload"]["retry_after_all_positive"]
-    assert report["overload"]["n_errors"] == 0
-    assert report["overload"]["conservation_ok"]
-    assert report["drain"]["n_finished"] == report["drain"]["n_requests"], (
-        "drain dropped admitted in-flight work")
-    assert report["drain"]["refused_code"] == "draining"
-    assert report["drain"]["conservation_ok"]
-
-    # SLO gates (generous; see module docstring).
-    assert report["streaming"]["ttft_p50_s"] <= TTFT_P50_SLO_S
-    assert report["streaming"]["ttft_p99_s"] <= TTFT_P99_SLO_S
-    assert report["streaming"]["tokens_per_second"] >= MIN_TOKENS_PER_SEC
-    # Fairness: ratio bound with an absolute grace floor — at single-digit
-    # millisecond p99s the idle-server solo denominator is pure jitter.
-    assert report["fairness"]["within_slo"], (
-        f"minority tenant p99 TTFT "
-        f"{report['fairness']['minority_contended_ttft_p99_s'] * 1e3:.1f} ms "
-        f"under a 9:1 aggressor — {report['fairness']['ratio']:.2f}x its "
-        f"solo run (max {FAIRNESS_RATIO_MAX}x or "
-        f"{report['fairness']['abs_floor_s'] * 1e3:.0f} ms absolute)")
-    assert report["slo_ok"]
+    print(format_gates(report["gates"]))
+    assert not failed(report["gates"]), format_gates(report["gates"])
 
     benchmark(lambda: arrival_schedule(
         WorkloadSpec(n_requests=256, arrival="poisson")))
@@ -81,8 +45,9 @@ def test_arrival_schedules_replay_from_snapshot():
     # Round-trip through JSON, as the snapshot stores them.
     restored = tuple(json.loads(json.dumps(list(fresh))))
     assert restored == fresh
-    if SNAPSHOT.exists():
-        saved = json.loads(SNAPSHOT.read_text())
+    snapshot = Path(__file__).resolve().parent.parent / "BENCH_net.json"
+    if snapshot.exists():
+        saved = json.loads(snapshot.read_text())
         assert tuple(saved["streaming"]["arrivals"]) == fresh, (
             "committed BENCH_net.json streaming arrivals no longer match "
             "the seeded schedule — spec or RNG stream drifted")

@@ -9,14 +9,9 @@ Subcommands mirror how an adopter would actually use the release:
 * ``table``   — regenerate one of the paper's tables or figures;
 * ``merge-sweep`` — time a λ sweep, naive loop vs the merge engine;
 * ``serve-bench`` — serial vs. batched+prefix-cached serving throughput;
-* ``bench-train`` — fused-kernel vs. composed-graph training-step timing;
-* ``bench-decode`` — cheap decode (int8 weights, paged KV, speculative)
-  vs. its byte-exactness oracles;
-* ``bench-kvplane`` — zero-copy KV plane (block-sharing prefix cache,
-  prefill-into-slot, vectorized paged decode) vs. the copy path;
-* ``bench-lambda`` — K λ-variants from one arena-resident merge plan vs
-  K fully-materialized models (residency, parity, cold start, throughput);
-* ``bench-parallel`` — WorkerPool eval fan-out vs. the serial item loop;
+* ``bench NAME`` — one gated component benchmark (decode, kvplane, fleet,
+  lambda, net, parallel, train; see :mod:`repro.bench`), exit 1 if an
+  applied gate fails;
 * ``obs-report`` — end-to-end train→merge→serve→eval→rag flow with the
   observability layer on: span tree + metric registry snapshot.
 """
@@ -24,9 +19,12 @@ Subcommands mirror how an adopter would actually use the release:
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import sys
+import typing
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .core.karcher import karcher_merge_state_dicts
 from .core.registry import available_methods, merge
@@ -150,11 +148,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge_sweep(args: argparse.Namespace) -> int:
-    import time
     from collections import OrderedDict
 
     import numpy as np
 
+    from .bench import paired
     from .core.geodesic import geodesic_merge
     from .core.merge_engine import GeodesicMergeEngine
     from .nn.transformer import preset_config
@@ -179,41 +177,30 @@ def _cmd_merge_sweep(args: argparse.Namespace) -> int:
         instruct = TransformerLM(config_b).state_dict()
         source = f"random {args.backbone} pair (seeds 0/1, vocab {args.vocab})"
     lams = [i / (args.points - 1) for i in range(args.points)]
+    results = {}
 
     def naive_sweep():
-        return [OrderedDict((key, geodesic_merge(chip[key], instruct[key], lam))
-                            for key in chip) for lam in lams]
+        results["naive"] = [
+            OrderedDict((key, geodesic_merge(chip[key], instruct[key], lam))
+                        for key in chip) for lam in lams]
 
     def engine_sweep():
-        return GeodesicMergeEngine(chip, instruct).sweep(
+        results["engine"] = GeodesicMergeEngine(chip, instruct).sweep(
             lams, n_workers=args.workers)
-
-    def timed(fn):
-        start = time.perf_counter()
-        result = fn()
-        return time.perf_counter() - start, result
 
     n_params = sum(int(np.asarray(w).size) for w in chip.values())
     print(f"merge sweep: {source}, {len(chip)} tensors, "
           f"{n_params:,} params, {args.points} lambda points, "
-          f"best of {args.repeats}")
-    # Interleave the repeats so both sides sample the same machine
-    # conditions (CPU frequency, cache pressure) — a sequential best-of
-    # can hand one side a systematically faster window.
-    naive_times, engine_times = [], []
-    for _ in range(args.repeats):
-        elapsed, naive_result = timed(naive_sweep)
-        naive_times.append(elapsed)
-        elapsed, engine_result = timed(engine_sweep)
-        engine_times.append(elapsed)
-    naive_t, engine_t = min(naive_times), min(engine_times)
+          f"{args.repeats} paired rounds")
+    timing = paired(naive_sweep, engine_sweep, args.repeats)
+    naive_t, engine_t = timing.seconds
     matches = all(
-        np.allclose(naive_result[i][key], engine_result[i][key],
+        np.allclose(results["naive"][i][key], results["engine"][i][key],
                     rtol=1e-10, atol=1e-13)
         for i in range(len(lams)) for key in chip)
     print(f"  naive per-lambda loop : {naive_t * 1e3:8.1f} ms")
     print(f"  merge engine sweep    : {engine_t * 1e3:8.1f} ms")
-    print(f"  speedup               : {naive_t / engine_t:8.2f}x")
+    print(f"  speedup               : {timing.ratio:8.2f}x median")
     print(f"  outputs allclose      : {matches}")
     return 0 if matches else 1
 
@@ -348,218 +335,88 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         fleet.close()
 
 
-def _cmd_serve_fleet_bench(args: argparse.Namespace) -> int:
+#: ``repro bench NAME`` -> (benchmark module, needs process fork).
+#: Each module defines ``run_NAME_benchmark`` and ``format_NAME_report``.
+BENCHMARKS = {
+    "decode": ("repro.serve.decode_bench", False),
+    "kvplane": ("repro.serve.kvplane_bench", False),
+    "fleet": ("repro.serve.fleet_bench", True),
+    "lambda": ("repro.serve.lambda_bench", True),
+    "net": ("repro.serve.net.bench", False),
+    "parallel": ("repro.parallel.bench", True),
+    "train": ("repro.nn.train_bench", False),
+}
+
+
+def _bench_params(run) -> Dict[str, tuple]:
+    """The settable keyword parameters of a ``run_*_benchmark`` function:
+    name -> (type, whether ``None`` is allowed).  Only int/float/str
+    parameters can be set from the command line."""
+    hints = typing.get_type_hints(run)
+    params = {}
+    for name in inspect.signature(run).parameters:
+        hint = hints.get(name)
+        args = typing.get_args(hint)
+        kinds = [a for a in args if a is not type(None)] or [hint]
+        if len(kinds) == 1 and kinds[0] in (int, float, str):
+            params[name] = (kinds[0], type(None) in args)
+    return params
+
+
+def _bench_kwargs(run, pairs: List[str]) -> Dict[str, object]:
+    """Parse ``key=value`` pairs against ``run``'s signature; raises
+    ``ValueError`` naming the valid keys on any bad pair."""
+    params = _bench_params(run)
+    valid = ", ".join(params)
+    kwargs = {}
+    for pair in pairs:
+        key, sep, raw = pair.partition("=")
+        if not sep or key not in params:
+            raise ValueError(f"unknown parameter {pair!r}; "
+                             f"valid keys: {valid}")
+        kind, nullable = params[key]
+        if nullable and raw == "None":
+            kwargs[key] = None
+            continue
+        try:
+            kwargs[key] = kind(raw)
+        except ValueError:
+            raise ValueError(f"{key}={raw!r} is not a valid {kind.__name__}; "
+                             f"valid keys: {valid}") from None
+    return kwargs
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import failed, format_gates, write_snapshot
     from .parallel import parallel_available
-    from .serve.fleet_bench import (format_fleet_report, run_fleet_benchmark,
-                                    write_fleet_snapshot)
 
-    if not parallel_available():
-        print("error: this platform cannot fork replica processes",
-              file=sys.stderr)
-        return 2
+    module_name, needs_fork = BENCHMARKS[args.name]
+    module = importlib.import_module(module_name)
+    run = getattr(module, f"run_{args.name}_benchmark")
     try:
-        result = run_fleet_benchmark(
-            backbone=args.backbone, replicas=args.replicas,
-            groups=args.groups, requests_per_group=args.requests_per_group,
-            max_new_tokens=args.max_new_tokens, repeats=args.repeats,
-            seed=args.seed)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_fleet_report(result))
-    if args.json:
-        write_fleet_snapshot(result, args.json)
-        print(f"snapshot written to {args.json}")
-    ok = (result["parity_ok"] and not result["leaked_segments"]
-          and result["respawns"] == 0)
-    if result["target_applies"] and result["speedup"] < result["speedup_target"]:
-        print(f"error: speedup {result['speedup']:.2f}x below the "
-              f"{result['speedup_target']:.1f}x target on "
-              f"{result['cpu_count']} cores", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-def _cmd_bench_lambda(args: argparse.Namespace) -> int:
-    from .parallel import parallel_available
-    from .serve.lambda_bench import (format_lambda_report,
-                                     run_lambda_benchmark,
-                                     write_lambda_snapshot)
-
-    if not parallel_available():
-        print("error: this platform cannot fork replica processes",
-              file=sys.stderr)
-        return 2
-    try:
-        result = run_lambda_benchmark(
-            backbone=args.backbone, n_variants=args.variants,
-            replicas_per_variant=args.replicas_per_variant,
-            requests_per_variant=args.requests_per_variant,
-            max_new_tokens=args.max_new_tokens, repeats=args.repeats,
-            seed=args.seed)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_lambda_report(result))
-    if args.json:
-        write_lambda_snapshot(result, args.json)
-        print(f"snapshot written to {args.json}")
-    memory, cold = result["memory"], result["cold"]
-    ok = (result["parity_ok"] and not result["leaked_segments"]
-          and result["respawns"] == 0
-          and memory["plan_over_model"] <= memory["limit"]
-          and cold["worst_gated_ratio"] <= cold["limit"])
-    if result["target_applies"] and result["speedup"] < result["speedup_target"]:
-        print(f"error: speedup {result['speedup']:.2f}x below the "
-              f"{result['speedup_target']:.1f}x target on "
-              f"{result['cpu_count']} cores", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-def _cmd_bench_decode(args: argparse.Namespace) -> int:
-    from .serve.decode_bench import (format_decode_report,
-                                     run_decode_benchmark,
-                                     write_decode_snapshot)
-
-    try:
-        result = run_decode_benchmark(
-            target_backbone=args.target, draft_backbone=args.draft,
-            speculative_tokens=args.speculative_tokens,
-            n_requests=args.requests, max_new_tokens=args.max_new_tokens,
-            repeats=args.repeats, epochs=args.epochs, seed=args.seed)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_decode_report(result))
-    if args.json:
-        write_decode_snapshot(result, args.json)
-        print(f"snapshot written to {args.json}")
-    kv = result["kv"]
-    ok = (result["parity_ok"] and kv["paged"]["leaked_blocks"] == 0
-          and kv["paged"]["conservation_ok"] and kv["reserved_ratio"] <= 1.0)
-    # The speedup floor only binds when the draft actually agrees with the
-    # target; at low acceptance the report carries the waiver instead.
-    if result["target_applies"] and result["speedup"] < result["speedup_target"]:
-        print(f"error: speculative speedup {result['speedup']:.2f}x below "
-              f"the {result['speedup_target']:.1f}x target at acceptance "
-              f"{result['speculative']['acceptance_rate']:.2f}",
-              file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-def _cmd_bench_kvplane(args: argparse.Namespace) -> int:
-    from .serve.kvplane_bench import (format_kvplane_report,
-                                      run_kvplane_benchmark,
-                                      write_kvplane_snapshot)
-
-    try:
-        result = run_kvplane_benchmark(
-            block_tokens=args.block_tokens,
-            grounding_blocks=args.grounding_blocks,
-            n_groundings=args.groundings,
-            tails_per_grounding=args.tails,
-            batch=args.batch, repeats=args.repeats, steps=args.steps,
-            epochs=args.epochs, seed=args.seed)
+        kwargs = _bench_kwargs(run, args.params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_kvplane_report(result))
-    if args.json:
-        write_kvplane_snapshot(result, args.json)
-        print(f"snapshot written to {args.json}")
-    ok = True
-    if not result["parity_ok"]:
-        print("error: shared-block serving diverged from the copy path",
-              file=sys.stderr)
-        ok = False
-    if not result["zero_copy_ok"]:
-        print(f"error: full prefix hits copied "
-              f"{result['admission']['hot_bytes_copied']} KV bytes",
-              file=sys.stderr)
-        ok = False
-    if result["admission_speedup"] < result["admission_speedup_target"]:
-        print(f"error: hot admission speedup "
-              f"{result['admission_speedup']:.2f}x below the "
-              f"{result['admission_speedup_target']:.1f}x target",
-              file=sys.stderr)
-        ok = False
-    if result["step_ratio"] > result["step_ratio_ceiling"]:
-        print(f"error: paged decode step cost {result['step_ratio']:.3f}x "
-              f"dense, above the {result['step_ratio_ceiling']:.2f}x ceiling",
-              file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-def _cmd_serve_net_bench(args: argparse.Namespace) -> int:
-    from .serve.net.bench import (format_net_report, run_net_benchmark,
-                                  write_net_snapshot)
-
-    try:
-        report = run_net_benchmark(backbone=args.backbone,
-                                   n_requests=args.requests, seed=args.seed)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_net_report(report))
-    if args.json:
-        write_net_snapshot(report, args.json)
-        print(f"snapshot written to {args.json}")
-    return 0 if report["slo_ok"] else 1
-
-
-def _cmd_bench_train(args: argparse.Namespace) -> int:
-    from .nn.train_bench import (format_train_report, run_train_benchmark,
-                                 write_snapshot)
-
-    try:
-        result = run_train_benchmark(
-            backbone=args.backbone, steps=args.steps,
-            batch_size=args.batch_size, seq_len=args.seq_len,
-            vocab=args.vocab, repeats=args.repeats, seed=args.seed,
-            lr=args.lr)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_train_report(result))
-    if args.json:
-        write_snapshot(result, args.json)
-        print(f"snapshot written to {args.json}")
-    return 0 if result["parity_ok"] else 1
-
-
-def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    from .parallel import parallel_available
-    from .parallel.bench import (format_parallel_report,
-                                 run_parallel_benchmark, write_snapshot)
-
-    if not parallel_available():
+    if needs_fork and not parallel_available():
         print("error: this platform cannot fork worker processes",
               file=sys.stderr)
         return 2
     try:
-        result = run_parallel_benchmark(
-            backbone=args.backbone, workers=args.workers,
-            n_items=args.items, max_new_tokens=args.max_new_tokens,
-            repeats=args.repeats, seed=args.seed)
+        result = run(**kwargs)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_parallel_report(result))
+    print(getattr(module, f"format_{args.name}_report")(result))
+    print(format_gates(result["gates"]))
     if args.json:
         write_snapshot(result, args.json)
         print(f"snapshot written to {args.json}")
-    ok = result["parity_ok"] and not result["leaked_segments"]
-    # The speedup floor only binds when the machine has the cores to run
-    # the pool; a starved box reports the waiver instead of failing.
-    if result["target_applies"] and result["speedup"] < result["speedup_target"]:
-        print(f"error: speedup {result['speedup']:.2f}x below the "
-              f"{result['speedup_target']:.1f}x target on "
-              f"{result['cpu_count']} cores", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
+    failures = failed(result["gates"])
+    for gate in failures:
+        print(f"error: gate {gate['metric']} {gate['op']} {gate['target']} "
+              f"failed: {gate['value']}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
@@ -673,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_msweep.add_argument("--points", type=int, default=11,
                           help="number of lambda points in [0, 1]")
     p_msweep.add_argument("--repeats", type=int, default=3,
-                          help="timing repeats (best-of)")
+                          help="paired timing rounds (median ratio)")
     p_msweep.add_argument("--workers", type=int, default=None,
                           help="fork this many sweep worker processes")
     p_msweep.add_argument("--vocab", type=int, default=512,
@@ -756,150 +613,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--seed", type=int, default=0)
     p_fleet.set_defaults(fn=_cmd_serve_fleet)
 
-    p_fbench = sub.add_parser(
-        "serve-fleet-bench",
-        help="benchmark routed replicas vs a single engine; byte parity "
-             "gated, >= 2x aggregate tokens/sec when cores allow")
-    p_fbench.add_argument("--backbone", default="nano",
-                          choices=("nano", "micro", "grande"))
-    p_fbench.add_argument("--replicas", type=int, default=4,
-                          help="replica count for the fleet arm")
-    p_fbench.add_argument("--groups", type=int, default=None,
-                          help="shared-prefix groups (default: 2x replicas)")
-    p_fbench.add_argument("--requests-per-group", type=int, default=4)
-    p_fbench.add_argument("--max-new-tokens", type=int, default=16,
-                          help="decode budget per request")
-    p_fbench.add_argument("--repeats", type=int, default=3,
-                          help="interleaved timing rounds (min per side)")
-    p_fbench.add_argument("--seed", type=int, default=0)
-    p_fbench.add_argument("--json", type=Path, default=None,
-                          help="also write the report as a JSON snapshot")
-    p_fbench.set_defaults(fn=_cmd_serve_fleet_bench)
-
-    p_lbench = sub.add_parser(
-        "bench-lambda",
-        help="benchmark K lambda-variants served from one arena-resident "
-             "merge plan vs K materialized models; residency and byte "
-             "parity gated, throughput when cores allow")
-    p_lbench.add_argument("--backbone", default="nano",
-                          choices=("nano", "micro", "grande"))
-    p_lbench.add_argument("--variants", type=int, default=8,
-                          help="family size K (scalar grid + layerwise "
-                               "ramp + karcher midpoint)")
-    p_lbench.add_argument("--replicas-per-variant", type=int, default=1)
-    p_lbench.add_argument("--requests-per-variant", type=int, default=3)
-    p_lbench.add_argument("--max-new-tokens", type=int, default=16,
-                          help="decode budget per request")
-    p_lbench.add_argument("--repeats", type=int, default=3,
-                          help="interleaved timing rounds (min per side)")
-    p_lbench.add_argument("--seed", type=int, default=0)
-    p_lbench.add_argument("--json", type=Path, default=None,
-                          help="also write the report as a JSON snapshot")
-    p_lbench.set_defaults(fn=_cmd_bench_lambda)
-
-    p_nbench = sub.add_parser(
-        "serve-net-bench",
-        help="socket serving SLO benchmark (parity/streaming/fairness/"
-             "overload/drain); exit 1 if any SLO fails")
-    p_nbench.add_argument("--backbone", default="nano")
-    p_nbench.add_argument("--requests", type=int, default=16,
-                          help="streaming-phase workload size")
-    p_nbench.add_argument("--seed", type=int, default=3)
-    p_nbench.add_argument("--json", type=Path, default=None,
-                          help="also write the full report (with replayable "
-                               "arrival schedules) to this path")
-    p_nbench.set_defaults(fn=_cmd_serve_net_bench)
-
-    p_dbench = sub.add_parser(
-        "bench-decode",
-        help="benchmark cheap decode (int8/paged KV/speculative) against "
-             "its byte-exactness oracles; exit 1 if any gate fails")
-    p_dbench.add_argument("--target", default="grande",
-                          choices=("nano", "micro", "grande"),
-                          help="target (served) backbone")
-    p_dbench.add_argument("--draft", default="nano",
-                          choices=("nano", "micro", "grande"),
-                          help="draft backbone for speculative decoding")
-    p_dbench.add_argument("--speculative-tokens", type=int, default=3,
-                          help="draft chain length per verify round")
-    p_dbench.add_argument("--requests", type=int, default=12,
-                          help="requests per workload burst")
-    p_dbench.add_argument("--max-new-tokens", type=int, default=32,
-                          help="decode budget per request")
-    p_dbench.add_argument("--repeats", type=int, default=5,
-                          help="paired timing rounds (median ratio)")
-    p_dbench.add_argument("--epochs", type=int, default=30,
-                          help="training epochs for draft and target")
-    p_dbench.add_argument("--seed", type=int, default=0)
-    p_dbench.add_argument("--json", type=Path, default=None,
-                          help="also write the report as a JSON snapshot")
-    p_dbench.set_defaults(fn=_cmd_bench_decode)
-
-    p_kbench = sub.add_parser(
-        "bench-kvplane",
-        help="benchmark the zero-copy KV plane (block sharing, hot "
-             "admission, vectorized paged decode) against the copy path; "
-             "exit 1 if any gate fails")
-    p_kbench.add_argument("--block-tokens", type=int, default=16,
-                          help="KV positions per paged block")
-    p_kbench.add_argument("--grounding-blocks", type=int, default=14,
-                          help="full blocks in the shared grounding prefix")
-    p_kbench.add_argument("--groundings", type=int, default=4,
-                          help="distinct grounding prefixes")
-    p_kbench.add_argument("--tails", type=int, default=3,
-                          help="hot (full-prefix-hit) requests per grounding")
-    p_kbench.add_argument("--batch", type=int, default=4,
-                          help="sequences per decode step in the step-cost "
-                               "phase")
-    p_kbench.add_argument("--repeats", type=int, default=5,
-                          help="paired step-cost timing rounds (median ratio)")
-    p_kbench.add_argument("--steps", type=int, default=30,
-                          help="decode steps per timing round")
-    p_kbench.add_argument("--epochs", type=int, default=25,
-                          help="training epochs for the parity-phase model")
-    p_kbench.add_argument("--seed", type=int, default=0)
-    p_kbench.add_argument("--json", type=Path, default=None,
-                          help="also write the report as a JSON snapshot")
-    p_kbench.set_defaults(fn=_cmd_bench_kvplane)
-
-    p_btrain = sub.add_parser(
-        "bench-train",
-        help="time training steps with fused kernels on vs off")
-    p_btrain.add_argument("--backbone", default="grande",
-                          choices=("nano", "micro", "grande"))
-    p_btrain.add_argument("--steps", type=int, default=10,
-                          help="optimiser steps per timed fit")
-    p_btrain.add_argument("--batch-size", type=int, default=8,
-                          help="sequences per step")
-    p_btrain.add_argument("--seq-len", type=int, default=None,
-                          help="tokens per sequence (default: context window)")
-    p_btrain.add_argument("--vocab", type=int, default=256,
-                          help="model vocabulary size (random weights)")
-    p_btrain.add_argument("--repeats", type=int, default=3,
-                          help="interleaved timing rounds (min per side)")
-    p_btrain.add_argument("--lr", type=float, default=1e-3)
-    p_btrain.add_argument("--seed", type=int, default=0)
-    p_btrain.add_argument("--json", type=Path, default=None,
-                          help="also write the report as a JSON snapshot")
-    p_btrain.set_defaults(fn=_cmd_bench_train)
-
-    p_bpar = sub.add_parser(
-        "bench-parallel",
-        help="time the OpenROAD QA eval with a worker pool vs serially")
-    p_bpar.add_argument("--backbone", default="grande",
-                        choices=("nano", "micro", "grande"))
-    p_bpar.add_argument("--workers", type=int, default=4,
-                        help="pool size for the parallel arm")
-    p_bpar.add_argument("--items", type=int, default=None,
-                        help="cap on eval items (default: all 90)")
-    p_bpar.add_argument("--max-new-tokens", type=int, default=24,
-                        help="decode budget per answer")
-    p_bpar.add_argument("--repeats", type=int, default=3,
-                        help="interleaved timing rounds (min per side)")
-    p_bpar.add_argument("--seed", type=int, default=0)
-    p_bpar.add_argument("--json", type=Path, default=None,
-                        help="also write the report as a JSON snapshot")
-    p_bpar.set_defaults(fn=_cmd_bench_parallel)
+    p_bench = sub.add_parser(
+        "bench",
+        help="run one gated component benchmark; exit 1 if an applied "
+             "gate fails",
+        description="Parameters are the keyword arguments of the benchmark's "
+                    "run_NAME_benchmark function, given as key=value.")
+    p_bench.add_argument("name", choices=sorted(BENCHMARKS))
+    p_bench.add_argument("params", nargs="*", metavar="key=value",
+                         help="override a run_NAME_benchmark parameter")
+    p_bench.add_argument("--json", type=Path, default=None, metavar="PATH",
+                         help="also write the report as a JSON snapshot")
+    p_bench.set_defaults(fn=_cmd_bench)
 
     p_obs = sub.add_parser(
         "obs-report",
@@ -925,7 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # ``bench NAME --json PATH key=value ...``: argparse stops filling the
+    # ``params`` list at the first option, so later pairs arrive as extras.
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if args.command != "bench":
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.params += extra
     return args.fn(args)
 
 

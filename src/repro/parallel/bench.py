@@ -7,29 +7,31 @@ through a :class:`~repro.parallel.WorkerPool`.  Both sides run the same
 answerer over the same triplets, so every response — and hence every
 ROUGE-L score — must be bit-identical; only wall-clock may differ.
 
-Timing rounds are interleaved (parallel run, serial run, repeated) with
-the min taken per side, which discards co-tenant load spikes without
-favouring either arm — the same methodology as the training benchmark.
+The two arms are timed with :func:`repro.bench.paired`; the untimed
+warm-up call of each arm is the parity pass.
 
 The headline target is a >= 2x speedup at 4 workers, but that is only
-physically reachable when the machine actually has that many cores, so
-the report records ``cpu_count`` and a ``target_applies`` flag and the
-bench test gates its speedup assertion on it.  On starved machines the
-run still validates parity, fault-free shutdown, and the absence of
-leaked shared-memory segments.
+physically reachable when the machine actually has that many cores, so on
+starved machines that gate is waived and the ``MIN_STARVED_RATIO``
+overhead bound applies instead.  Parity, the pool counters and the
+absence of leaked shared-memory segments are gated everywhere.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Dict, Optional
 
+from ..bench import Gate, header, paired
 from ..obs import Observability
 
-#: The headline speedup floor, asserted only when ``target_applies``.
+#: The headline speedup floor, applied only when the machine has a core
+#: per worker.
 SPEEDUP_TARGET = 2.0
+
+#: When the core count can't sustain the pool, the parallel arm still must
+#: not collapse under dispatch/IPC overhead: the pool time-slicing a single
+#: core stays within ~3x of the serial loop on this workload.
+MIN_STARVED_RATIO = 0.33
 
 
 def _eval_workload(backbone: str, n_items: Optional[int],
@@ -65,9 +67,8 @@ def run_parallel_benchmark(backbone: str = "grande", workers: int = 4,
 
     Returns a JSON-serialisable report: per-side wall-clock and items/sec,
     the parallel-over-serial speedup, a bitwise parity verdict over
-    responses and scores, the machine's core count with the derived
-    ``target_applies`` flag, and the parallel run's metric-registry
-    snapshot (pool counters included).
+    responses and scores, the parallel run's metric-registry snapshot
+    (pool counters included), and the ``header`` and ``gates``.
     """
     from ..eval.harness import run_openroad
     from . import TensorArena, effective_workers
@@ -80,78 +81,72 @@ def run_parallel_benchmark(backbone: str = "grande", workers: int = 4,
     answerer, triplets = _eval_workload(backbone, n_items, max_new_tokens,
                                         seed)
 
-    # Parity pass (doubles as per-side warm-up: BLAS spin-up, mask/RoPE
-    # caches, and one full pool lifecycle all settle before timing).
-    parallel_report = run_openroad(answerer, triplets, obs=obs,
-                                   workers=workers)
-    serial_report = run_openroad(answerer, triplets)
+    # The first (untimed warm-up) call of each arm is the parity pass; the
+    # parallel one records into ``obs``.
+    first = {}
+
+    def run(arm, **kw):
+        first.setdefault(arm, run_openroad(answerer, triplets, **kw))
+
+    timing = paired(lambda: run("serial"),
+                    lambda: run("parallel", workers=workers,
+                                obs=None if "parallel" in first else obs),
+                    repeats)
+    serial_report, parallel_report = first["serial"], first["parallel"]
     parity_ok = (parallel_report.responses == serial_report.responses
                  and parallel_report.by_category == serial_report.by_category
                  and parallel_report.overall == serial_report.overall)
 
-    # Interleave the timed rounds (parallel run, then serial run, repeated)
-    # so both sides sample the same machine conditions; min over rounds
-    # discards load spikes.
-    parallel = {"seconds": float("inf")}
-    serial = {"seconds": float("inf")}
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run_openroad(answerer, triplets, workers=workers)
-        parallel["seconds"] = min(parallel["seconds"],
-                                  time.perf_counter() - started)
-        started = time.perf_counter()
-        run_openroad(answerer, triplets)
-        serial["seconds"] = min(serial["seconds"],
-                                time.perf_counter() - started)
-
     n = len(triplets)
-    for side in (parallel, serial):
-        side["ms_per_item"] = side["seconds"] * 1e3 / n
-        side["items_per_sec"] = n / side["seconds"]
-    cpu_count = os.cpu_count() or 1
+    serial, parallel = ({"seconds": s, "ms_per_item": s * 1e3 / n,
+                         "items_per_sec": n / s} for s in timing.seconds)
+    head = header()
+    leaked = TensorArena.live_segments()
+    registry = obs.registry.snapshot()
+    waiver = Gate.needs_cores(workers, "workers")
+    gates = [
+        Gate("parity_ok", parity_ok, True, "=="),
+        Gate("leaked_segments", len(leaked), 0, "=="),
+        Gate("registry.parallel.*", sum(name.startswith("parallel.")
+                                        for name in registry), 0, ">"),
+        *Gate.speedup(timing.ratio, SPEEDUP_TARGET, MIN_STARVED_RATIO,
+                      waiver),
+    ]
     return {
+        "header": head,
+        "gates": [g.as_dict() for g in gates],
         "backbone": backbone,
         "workers": workers,
-        "cpu_count": cpu_count,
+        "cpu_count": head["cpu_count"],
         "n_items": n,
         "max_new_tokens": max_new_tokens,
         "repeats": repeats,
         "serial": serial,
         "parallel": parallel,
-        "speedup": serial["seconds"] / parallel["seconds"],
+        "speedup": timing.ratio,
+        "timing": timing.as_dict(),
         "speedup_target": SPEEDUP_TARGET,
-        "target_applies": cpu_count >= workers,
+        "target_applies": waiver is None,
         "parity_ok": parity_ok,
-        "leaked_segments": TensorArena.live_segments(),
-        "registry": obs.registry.snapshot(),
+        "leaked_segments": leaked,
+        "registry": registry,
     }
 
 
 def format_parallel_report(result: Dict[str, object]) -> str:
     """Human-readable summary of :func:`run_parallel_benchmark`."""
     serial, parallel = result["serial"], result["parallel"]
-    target = (f">= {result['speedup_target']:.1f}x target"
-              if result["target_applies"] else
-              f"target waived: {result['cpu_count']} core(s) < "
-              f"{result['workers']} workers")
     lines = [
         f"workload : OpenROAD QA x {result['n_items']} items "
         f"({result['backbone']} backbone, {result['max_new_tokens']} new "
-        f"tokens, best of {result['repeats']})",
+        f"tokens, {result['repeats']} paired rounds)",
         f"serial   : {serial['ms_per_item']:8.1f} ms/item  "
         f"{serial['items_per_sec']:6.2f} items/s",
         f"parallel : {parallel['ms_per_item']:8.1f} ms/item  "
         f"{parallel['items_per_sec']:6.2f} items/s  "
         f"({result['workers']} workers)",
-        f"speedup  : {result['speedup']:8.2f}x  ({target})",
+        f"speedup  : {result['speedup']:8.2f}x median",
         f"parity   : responses and scores "
         f"{'bit-identical' if result['parity_ok'] else 'DIVERGED'}",
     ]
     return "\n".join(lines)
-
-
-def write_snapshot(result: Dict[str, object], path) -> None:
-    """Write the benchmark report as a JSON perf-trajectory snapshot."""
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")

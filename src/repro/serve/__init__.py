@@ -24,31 +24,27 @@ See DESIGN.md §6 and ``repro serve-bench`` for the benchmark workflow.
 
 The network front door — real sockets, streaming, multi-tenant admission
 control — lives in :mod:`repro.serve.net` (DESIGN.md §9, ``repro
-serve-net`` / ``repro serve-net-bench``).  Multi-process replica serving
+serve-net`` / ``repro bench net``).  Multi-process replica serving
 over one shared-memory weight copy lives in :mod:`repro.serve.fleet`
-(DESIGN.md §10, ``repro serve-fleet`` / ``repro serve-fleet-bench``).
+(DESIGN.md §10, ``repro serve-fleet`` / ``repro bench fleet``).
 
 Cheap-decode serving — int8 weights (``ServeConfig(weight_mode="int8")``),
 paged KV allocation (``kv_mode="paged"``), and speculative decoding
 (``speculative_tokens=k`` plus a ``draft_model``) — lives across
 :mod:`repro.serve.engine`, :mod:`repro.serve.cache`, and the scheduler
-(DESIGN.md §11, ``repro bench-decode``).  All three paths emit token
+(DESIGN.md §11, ``repro bench decode``).  All three paths emit token
 streams byte-identical to exact fp32 dense decoding.
 
 The λ-fleet — many merged-model variants (scalar λ, per-layer schedules,
 Karcher weights) materialized lazily from one arena-resident
 :class:`~repro.core.merge_engine.MergePlan`, with variant-aware routing
 and quality-driven promotion — lives in :mod:`repro.serve.lambda_fleet`
-(DESIGN.md §12, ``repro bench-lambda``).
+(DESIGN.md §12, ``repro bench lambda``).
 """
 
 from .cache import (ArrayEntry, BlockEntry, BlockPool, BlockPoolError,
                     KVEntry, PrefixCachePool, common_prefix_length,
                     common_prefix_length_np)
-from .decode_bench import (format_decode_report, run_decode_benchmark,
-                           write_decode_snapshot)
-from .kvplane_bench import (format_kvplane_report, run_kvplane_benchmark,
-                            write_kvplane_snapshot)
 from .engine import (BatchedEngine, DECODE_MODES, KV_MODES, WEIGHT_MODES,
                      dequantized_oracle_model)
 from .loadgen import (ARRIVAL_PROCESSES, WorkloadSpec, arrival_schedule,
@@ -69,8 +65,6 @@ __all__ = [
     "Completion", "FinishReason", "Request", "RequestStatus", "SamplingParams",
     "ArrayEntry", "BlockEntry", "BlockPool", "BlockPoolError", "KVEntry",
     "PrefixCachePool", "common_prefix_length", "common_prefix_length_np",
-    "format_decode_report", "run_decode_benchmark", "write_decode_snapshot",
-    "format_kvplane_report", "run_kvplane_benchmark", "write_kvplane_snapshot",
     "Scheduler", "ServeConfig", "ServerMetrics",
     "SessionState", "SessionStore",
     "InProcessServer",

@@ -12,17 +12,13 @@ Three claims, each measured against its own oracle (DESIGN.md §11):
 2. **Throughput** — tokens/sec of speculative decoding vs target-only
    decoding on a greedy in-distribution workload at batch size 1 (the
    latency-bound single-stream regime speculation is built for — a full
-   batch already amortises the target forward across sequences).  The
-   two arms run back-to-back within each timing round (GC paused) and the
-   headline speedup is the *median of the per-round paired ratios*:
-   adjacent pairing cancels the slow machine-speed drift a min-per-side
-   over separate pools cannot, which matters on a noisy single-core box.
-   Speculation only wins when the draft agrees with the target *and* is
-   actually cheaper to run, so the >= ``SPEEDUP_TARGET`` gate applies only
-   when the measured acceptance rate clears ``ACCEPTANCE_FLOOR`` and the
-   measured draft/target per-token cost ratio is under
-   ``DRAFT_COST_CEILING`` — the report's honesty flags, recorded either
-   way.
+   batch already amortises the target forward across sequences), timed
+   with :func:`repro.bench.paired`.  Speculation only wins when the draft
+   agrees with the target *and* is actually cheaper to run, so the >=
+   ``SPEEDUP_TARGET`` gate applies only when the measured acceptance rate
+   clears ``ACCEPTANCE_FLOOR`` and the measured draft/target per-token
+   cost ratio is under ``DRAFT_COST_CEILING``; otherwise the
+   ``MIN_STARVED_RATIO`` overhead bound applies instead.
 3. **KV memory** — peak reserved bytes and bytes per live session for the
    dense vs paged layouts under a mixed-length burst, read from
    :meth:`~repro.serve.engine.BatchedEngine.kv_stats`.  Dense reserves the
@@ -31,20 +27,16 @@ Three claims, each measured against its own oracle (DESIGN.md §11):
 
 Both models are *trained* (draft and target on the same cyclic corpus):
 an untrained draft proposes noise, the target rejects everything, and the
-benchmark would "measure" a speculation path that never engages.  The
-report is written to ``BENCH_decode.json`` when ``REPRO_BENCH_SNAPSHOT=1``.
+benchmark would "measure" a speculation path that never engages.
+``repro bench decode --json BENCH_decode.json`` writes the snapshot.
 """
 
 from __future__ import annotations
 
-import gc
-import json
-import os
-import time
-from typing import Dict, List, Optional, Tuple
+import itertools
+from typing import Dict, List, Tuple
 
-import numpy as np
-
+from ..bench import Gate, header, paired
 from .request import SamplingParams
 from .scheduler import ServeConfig
 
@@ -54,8 +46,12 @@ SPEEDUP_TARGET = 1.2
 
 #: Minimum measured acceptance rate for the speedup target to apply: below
 #: this the draft is wrong too often for speculation to possibly pay, and
-#: the gate degrades to the overhead bound in ``benchmarks/bench_decode.py``.
+#: the gate degrades to the ``MIN_STARVED_RATIO`` overhead bound.
 ACCEPTANCE_FLOOR = 0.5
+
+#: When the draft disagrees too often for speculation to pay, the
+#: speculative arm still must not collapse under draft/verify overhead.
+MIN_STARVED_RATIO = 0.5
 
 #: Maximum measured draft/target per-token forward cost for the target to
 #: apply.  At toy scale a box can be interpreter-overhead-bound, making
@@ -69,21 +65,20 @@ def _cycles(groups: int = 4) -> List[List[int]]:
     return [[3 + 3 * g, 4 + 3 * g, 5 + 3 * g] for g in range(groups)]
 
 
-def _ms_per_token(model, repeats: int = 3, tokens: int = 150) -> float:
-    """Best-of single-token decode cost of ``model``, in milliseconds."""
+def _decode_tokens(model, tokens: int = 150):
+    """An arm decoding ``tokens`` single tokens after a fixed 4-token
+    prompt — the per-token forward cost of ``model``."""
     from ..nn.infer import InferenceEngine, _LayerCache
     engine = InferenceEngine(model)
     caches = [_LayerCache() for _ in engine.layers]
     engine._forward([1, 3, 4, 5], caches)
-    best = float("inf")
-    for _ in range(repeats):
+
+    def arm():
         for cache in caches:
             cache.truncate(4)
-        started = time.perf_counter()
         for i in range(tokens):
             engine._forward([3 + (i % 3)], caches)
-        best = min(best, time.perf_counter() - started)
-    return best * 1e3 / tokens
+    return arm
 
 
 def _train_backbone(backbone: str, vocab: int, corpus: List[List[int]],
@@ -180,7 +175,7 @@ def run_decode_benchmark(target_backbone: str = "grande",
     Returns a JSON-serialisable report: per-axis parity verdicts, weight
     bytes fp32 vs int8, KV bytes dense vs paged, speculative vs target-only
     tokens/sec with the measured acceptance rate and the derived
-    ``target_applies`` flag.
+    ``target_applies`` flag, plus the ``header`` and ``gates``.
     """
     from ..nn.kernels import quantize_state_dict
     from .engine import dequantized_oracle_model
@@ -244,31 +239,15 @@ def run_decode_benchmark(target_backbone: str = "grande",
     spec_server = fused_server(max_batch_size=1,
                                speculative_tokens=speculative_tokens,
                                draft_model=draft)
-    _drive(base_server, greedy_load, "warm-b")
-    _drive(spec_server, greedy_load, "warm-s")
-    base = {"seconds": float("inf")}
-    spec_arm = {"seconds": float("inf")}
-    ratios = []
-    n_tokens = 0
-    for round_no in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            got = _drive(spec_server, greedy_load, f"s{round_no}")
-            spec_s = time.perf_counter() - started
-            started = time.perf_counter()
-            _drive(base_server, greedy_load, f"b{round_no}")
-            base_s = time.perf_counter() - started
-        finally:
-            gc.enable()
-        spec_arm["seconds"] = min(spec_arm["seconds"], spec_s)
-        base["seconds"] = min(base["seconds"], base_s)
-        ratios.append(base_s / spec_s)
-        n_tokens = sum(len(t) for t in got.values())
-    for side in (base, spec_arm):
-        side["tokens_per_sec"] = n_tokens / side["seconds"]
-    speedup = sorted(ratios)[len(ratios) // 2]
+    tags, spec_runs = itertools.count(), []
+    timing = paired(
+        lambda: _drive(base_server, greedy_load, f"b{next(tags)}"),
+        lambda: spec_runs.append(
+            _drive(spec_server, greedy_load, f"s{next(tags)}")),
+        repeats)
+    n_tokens = sum(len(t) for t in spec_runs[-1].values())
+    base, spec_arm = ({"seconds": s, "tokens_per_sec": n_tokens / s}
+                      for s in timing.seconds)
     spec_stats = spec_server.scheduler.spec_stats()
 
     # Phase 3 — KV memory, dense vs paged, mixed-length burst (prompt
@@ -284,11 +263,38 @@ def run_decode_benchmark(target_backbone: str = "grande",
     int8_bytes = int(sum(a.nbytes
                          for a in quantize_state_dict(state).values()))
 
-    draft_ms = _ms_per_token(draft)
-    target_ms = _ms_per_token(target)
-    cost_ratio = draft_ms / target_ms
+    cost = paired(_decode_tokens(draft), _decode_tokens(target), 3)
+    draft_ms, target_ms = (s * 1e3 / 150 for s in cost.seconds)
+    cost_ratio = cost.ratio
     acceptance = spec_stats["acceptance_rate"]
+    if acceptance < ACCEPTANCE_FLOOR:
+        waiver = (f"acceptance {acceptance:.2f} < {ACCEPTANCE_FLOOR:.2f} "
+                  "floor")
+    elif cost_ratio > DRAFT_COST_CEILING:
+        waiver = (f"draft costs {cost_ratio:.2f}x of the target per token "
+                  f"(> {DRAFT_COST_CEILING:.2f} ceiling)")
+    else:
+        waiver = None
+    kv = {"dense": kv_dense, "paged": kv_paged,
+          "reserved_ratio": (kv_paged["peak_bytes_reserved"]
+                             / max(kv_dense["peak_bytes_reserved"], 1))}
+    gates = [
+        *(Gate(f"parity.{axis}", ok, True, "==")
+          for axis, ok in parity.items()),
+        Gate("weights.ratio", int8_bytes / fp32_bytes, 0.5, "<="),
+        Gate("kv.paged.leaked_blocks", kv_paged["leaked_blocks"], 0, "=="),
+        Gate("kv.paged.conservation_ok", kv_paged["conservation_ok"], True,
+             "=="),
+        Gate("kv.reserved_ratio", kv["reserved_ratio"], 1.0, "<="),
+        Gate("kv.paged.bytes_per_session", kv_paged["bytes_per_session"],
+             kv_dense["bytes_per_session"], "<"),
+        *Gate.speedup(timing.ratio, SPEEDUP_TARGET, MIN_STARVED_RATIO,
+                      waiver),
+    ]
+    head = header()
     return {
+        "header": head,
+        "gates": [g.as_dict() for g in gates],
         "target_backbone": target_backbone,
         "draft_backbone": draft_backbone,
         "speculative_tokens": speculative_tokens,
@@ -296,7 +302,7 @@ def run_decode_benchmark(target_backbone: str = "grande",
         "max_new_tokens": max_new_tokens,
         "total_tokens": n_tokens,
         "repeats": repeats,
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": head["cpu_count"],
         "parity": parity,
         "parity_ok": all(parity.values()),
         "weights": {
@@ -304,9 +310,7 @@ def run_decode_benchmark(target_backbone: str = "grande",
             "int8_bytes": int8_bytes,
             "ratio": int8_bytes / fp32_bytes,
         },
-        "kv": {"dense": kv_dense, "paged": kv_paged,
-               "reserved_ratio": (kv_paged["peak_bytes_reserved"]
-                                  / max(kv_dense["peak_bytes_reserved"], 1))},
+        "kv": kv,
         "speculative": spec_stats,
         "draft_ms_per_token": draft_ms,
         "target_ms_per_token": target_ms,
@@ -314,12 +318,12 @@ def run_decode_benchmark(target_backbone: str = "grande",
         "draft_cost_ceiling": DRAFT_COST_CEILING,
         "baseline": base,
         "speculative_arm": spec_arm,
-        "round_ratios": ratios,
-        "speedup": speedup,
+        "round_ratios": timing.ratios,
+        "speedup": timing.ratio,
+        "timing": timing.as_dict(),
         "speedup_target": SPEEDUP_TARGET,
         "acceptance_floor": ACCEPTANCE_FLOOR,
-        "target_applies": (acceptance >= ACCEPTANCE_FLOOR
-                           and cost_ratio <= DRAFT_COST_CEILING),
+        "target_applies": waiver is None,
     }
 
 
@@ -328,21 +332,12 @@ def format_decode_report(result: Dict[str, object]) -> str:
     parity = result["parity"]
     weights, kv = result["weights"], result["kv"]
     spec = result["speculative"]
-    if result["target_applies"]:
-        target = f">= {result['speedup_target']:.1f}x target"
-    elif spec["acceptance_rate"] < result["acceptance_floor"]:
-        target = (f"target waived: acceptance {spec['acceptance_rate']:.2f} "
-                  f"< {result['acceptance_floor']:.2f} floor")
-    else:
-        target = (f"target waived: draft costs "
-                  f"{result['draft_cost_ratio']:.2f}x of the target per "
-                  f"token (> {result['draft_cost_ceiling']:.2f} ceiling)")
     verdict = {True: "byte-identical", False: "DIVERGED"}
     lines = [
         f"workload : {result['n_requests']} requests x "
         f"{result['max_new_tokens']} new tokens "
         f"({result['target_backbone']} target, {result['draft_backbone']} "
-        f"draft, best of {result['repeats']})",
+        f"draft, {result['repeats']} paired rounds)",
         f"parity   : paged-vs-dense {verdict[parity['paged_vs_dense']]}, "
         f"int8-vs-oracle {verdict[parity['int8_vs_dequant_oracle']]}, "
         f"speculative {verdict[parity['speculative_vs_target_only']]}",
@@ -359,13 +354,6 @@ def format_decode_report(result: Dict[str, object]) -> str:
         f"target-only -> {result['speculative_arm']['tokens_per_sec']:7.1f} "
         f"tok/s speculative (batch 1)",
         f"speedup  : {result['speedup']:8.2f}x median of "
-        f"{result['repeats']} paired rounds  ({target})",
+        f"{result['repeats']} paired rounds",
     ]
     return "\n".join(lines)
-
-
-def write_decode_snapshot(result: Dict[str, object], path) -> None:
-    """Write the benchmark report as a JSON perf-trajectory snapshot."""
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -23,26 +23,23 @@ Three claims, each with its own oracle or baseline (DESIGN.md §13):
    history every step: dense with one fancy-indexed gather of its slot
    rows, paged with one ``np.take`` over block-table indices — the
    ceiling bounds what block indirection costs on top of that copy at
-   the depth where it matters.  Both arms run back-to-back within each
-   round (GC paused) and the headline is the median of per-round paired
-   ratios, the same drift-cancelling protocol as ``decode_bench``.
+   the depth where it matters.  The two layouts are timed with
+   :func:`repro.bench.paired`; every timed call first rolls each sequence
+   back to the same 512-token depth.
 
 Phases 2 and 3 use untrained models (counters and step timing do not care
 about weights); phase 1 trains the differential-suite toy model so the
-streams being compared are meaningful.  The report is written to
-``BENCH_kvplane.json`` when ``REPRO_BENCH_SNAPSHOT=1``.
+streams being compared are meaningful.  ``repro bench kvplane --json
+BENCH_kvplane.json`` writes the snapshot.
 """
 
 from __future__ import annotations
 
-import gc
-import json
-import os
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..bench import Gate, header, paired
 from .request import SamplingParams
 from .scheduler import ServeConfig
 
@@ -137,7 +134,8 @@ def _admission_phase(model, block_tokens: int, grounding_blocks: int,
         rid = server.submit(prompt, params=SamplingParams(max_new_tokens=1),
                             request_id=tag)
         server.run_until_idle()
-        assert server.result(rid) is not None
+        if server.result(rid) is None:
+            raise RuntimeError(f"admission probe {tag} did not finish")
         return metrics.admissions[-1]
 
     # Warm the allocator and the interpreter on a throwaway grounding, then
@@ -191,8 +189,9 @@ def _step_cost_phase(model, block_tokens: int, batch: int, repeats: int,
 
     context = STEP_CONTEXT_TOKENS
     prompt = [1] + [2 + (i % 20) for i in range(context - 1)]
+    tokens = [3 + b for b in range(batch)]
 
-    def setup(kv_mode):
+    def arm(kv_mode):
         eng = BatchedEngine(model, decode_mode="fused", kv_mode=kv_mode,
                             kv_block_tokens=block_tokens,
                             max_batch_size=batch)
@@ -201,43 +200,28 @@ def _step_cost_phase(model, block_tokens: int, batch: int, repeats: int,
             handle = eng.begin_sequence()
             eng.prefill_into(prompt, handle)
             handles.append(handle)
-        return eng, handles
 
-    def run_steps(eng, handles, n):
-        tokens = [3 + b for b in range(batch)]
-        started = time.perf_counter()
-        for _ in range(n):
-            eng.decode(tokens, handles)
-        return (time.perf_counter() - started) / n
+        def run():
+            # Roll back to the prompt first: every call decodes the same
+            # 512-deep steady state instead of drifting deeper.
+            for handle in handles:
+                eng.truncate_kv(handle, context)
+            for _ in range(steps):
+                eng.decode(tokens, handles)
+        return run
 
-    ratios = []
-    dense_ms = paged_ms = float("inf")
-    for _ in range(repeats):
-        # Fresh engines per round: every round decodes the same
-        # 512-deep steady state instead of drifting deeper.
-        dense_eng, dense_handles = setup("dense")
-        paged_eng, paged_handles = setup("paged")
-        run_steps(dense_eng, dense_handles, 3)
-        run_steps(paged_eng, paged_handles, 3)
-        gc.collect()
-        gc.disable()
-        try:
-            dense_s = run_steps(dense_eng, dense_handles, steps)
-            paged_s = run_steps(paged_eng, paged_handles, steps)
-        finally:
-            gc.enable()
-        ratios.append(paged_s / dense_s)
-        dense_ms = min(dense_ms, dense_s * 1e3)
-        paged_ms = min(paged_ms, paged_s * 1e3)
+    timing = paired(arm("paged"), arm("dense"), repeats)
+    paged_s, dense_s = timing.seconds
     return {
         "context_tokens": context,
         "batch": batch,
         "steps_per_round": steps,
         "repeats": repeats,
-        "dense_ms_per_step": dense_ms,
-        "paged_ms_per_step": paged_ms,
-        "round_ratios": ratios,
-        "step_ratio": sorted(ratios)[len(ratios) // 2],
+        "dense_ms_per_step": dense_s * 1e3 / steps,
+        "paged_ms_per_step": paged_s * 1e3 / steps,
+        "round_ratios": timing.ratios,
+        "step_ratio": timing.ratio,
+        "timing": timing.as_dict(),
     }
 
 
@@ -249,10 +233,10 @@ def run_kvplane_benchmark(block_tokens: int = 16, grounding_blocks: int = 14,
                           ) -> Dict[str, object]:
     """Benchmark the zero-copy KV plane against its copy-path baselines.
 
-    Returns a JSON-serialisable report with the three gate verdicts:
-    byte parity of shared vs copied prefixes, zero bytes copied on full
-    prefix hits (with the hot/cold admission speedup), and the paged/dense
-    decode step-cost ratio at 512-token contexts.
+    Returns a JSON-serialisable report with the ``header`` and the
+    ``gates``: byte parity of shared vs copied prefixes, zero bytes copied
+    on full prefix hits (with the hot/cold admission speedup), and the
+    paged/dense decode step-cost ratio at 512-token contexts.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -280,9 +264,23 @@ def run_kvplane_benchmark(block_tokens: int = 16, grounding_blocks: int = 14,
                             seed=seed + 2)
     step = _step_cost_phase(step_model, block_tokens, batch, repeats, steps)
 
+    gates = [
+        Gate("parity.shared_vs_copy", parity["shared_vs_copy"], True, "=="),
+        Gate("admission.hot_bytes_copied", admission["hot_bytes_copied"], 0,
+             "=="),
+        Gate("admission.counter_blocks_shared",
+             admission["counter_blocks_shared"], 0, ">"),
+        Gate("admission_speedup", admission["admission_speedup"],
+             ADMISSION_SPEEDUP_TARGET, ">="),
+        Gate("step_ratio", step["step_ratio"], PAGED_STEP_RATIO_CEILING,
+             "<="),
+    ]
+    head = header()
     return {
+        "header": head,
+        "gates": [g.as_dict() for g in gates],
         "block_tokens": block_tokens,
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": head["cpu_count"],
         "parity": parity,
         "parity_ok": parity["shared_vs_copy"],
         "admission": admission,
@@ -321,10 +319,3 @@ def format_kvplane_report(result: Dict[str, object]) -> str:
         f"{result['step_ratio_ceiling']:.2f}x)",
     ]
     return "\n".join(lines)
-
-
-def write_kvplane_snapshot(result: Dict[str, object], path) -> None:
-    """Write the benchmark report as a JSON perf-trajectory snapshot."""
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,26 +17,28 @@ dimension:
    :class:`~repro.serve.server.InProcessServer` oracles; every token
    stream must be byte-identical.
 3. **Cold start** — lazy materialization must not tax variant spin-up:
-   realizing a scalar/layerwise variant from the plan is timed against
+   realizing a scalar/layerwise variant from the plan is paired against
    ``engine.merge(λ)`` (the non-lazy merge it replaces) and bounded at
    :data:`MATERIALIZE_RATIO_LIMIT` ×.  Karcher variants run an iterative
    spherical mean, so their cold time is *recorded* but not gated.
 4. **Throughput** — the fleet's K variant replicas answer the mixed burst
    concurrently vs the K oracle servers answering sequentially.  Like the
    fleet benchmark, the >= :data:`SPEEDUP_TARGET`-scaled gate only applies
-   when the machine has the cores (``target_applies``); a starved box
-   still validates phases 1-3 and the no-leaked-segments invariant.
+   when the machine has the cores; a starved box gates the
+   :data:`MIN_STARVED_RATIO` overhead bound instead.
+
+Every timing uses :func:`repro.bench.paired`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
+import itertools
+import statistics
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..bench import Gate, header, paired
 from ..obs import Observability
 from .request import SamplingParams
 from .scheduler import ServeConfig
@@ -55,6 +57,11 @@ MATERIALIZE_RATIO_LIMIT = 5.0
 #: Aggregate concurrent-over-sequential speedup floor at 4 variant
 #: replicas, scaled by ``replicas / 4`` like the fleet benchmark.
 SPEEDUP_TARGET = 2.0
+
+#: On a core-starved box the K variant replicas time-slice; the fleet arm
+#: still must not collapse under routing/IPC overhead vs the sequential
+#: oracles.
+MIN_STARVED_RATIO = 0.33
 
 
 def default_variants(n_variants: int, n_layers: int):
@@ -133,10 +140,10 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
                          ) -> Dict[str, object]:
     """Benchmark K λ-variants from one plan against K materialized models.
 
-    Returns a JSON-serialisable report: the residency numbers and their
-    gate, the parity verdict, cold-materialization timings per variant
-    kind, concurrent-vs-sequential throughput with the core-count-derived
-    ``target_applies`` flag, and the fleet's router/variant state.
+    Returns a JSON-serialisable report: the residency numbers, the parity
+    verdict, cold-materialization timings per variant kind,
+    concurrent-vs-sequential throughput, the fleet's router/variant
+    state, and the ``header`` and ``gates``.
     """
     from ..core.merge_engine import GeodesicMergeEngine
     from ..nn.transformer import TransformerLM, preset_config
@@ -189,59 +196,71 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
     parity_ok = got == want
 
     # Phase 3 — cold start: plan materialization vs the eager merge.
-    merge_s = min(_timed(lambda: engine.merge(0.5)) for _ in range(repeats))
     cold = {}
+    merge_times = []
     worst_gated = 0.0
     for spec in variants:
-        best = min(_timed(lambda: materialize_variant(engine.plan, spec))
-                   for _ in range(repeats))
-        cold[spec.name] = {"kind": spec.kind, "materialize_ms": best * 1e3,
-                           "ratio_vs_merge": best / merge_s}
+        start = paired(lambda: materialize_variant(engine.plan, spec),
+                       lambda: engine.merge(0.5), repeats)
+        merge_times += start.b_s
+        cold[spec.name] = {"kind": spec.kind,
+                           "materialize_ms": start.seconds[0] * 1e3,
+                           "ratio_vs_merge": start.ratio}
         if spec.kind != "karcher":
-            worst_gated = max(worst_gated, best / merge_s)
-    cold_summary = {"merge_ms": merge_s * 1e3,
+            worst_gated = max(worst_gated, start.ratio)
+    cold_summary = {"merge_ms": statistics.median(merge_times) * 1e3,
                     "worst_gated_ratio": worst_gated,
                     "limit": MATERIALIZE_RATIO_LIMIT,
                     "per_variant": cold}
 
     # Phase 4 — throughput: concurrent variant replicas vs sequential
-    # oracles, production configuration, interleaved rounds, min per side.
+    # oracles, production configuration.
     fused = ServeConfig(max_batch_size=4, decode_mode="fused",
                         prefix_cache=True)
     oracles = {spec.name: InProcessServer(
         LazyMergedModel(config, engine.plan, spec), config=fused)
         for spec in variants}
-    sequential = {"seconds": float("inf")}
-    concurrent = {"seconds": float("inf")}
+    tags = itertools.count()
     with LambdaFleetServer(engine, config, variants, serve_config=fused,
                            replicas_per_variant=replicas_per_variant,
                            obs=obs) as fleet:
-        _drive_lambda_fleet(fleet, workload, "warmN")
-        _drive_oracles(oracles, workload, "warm1")
-        for round_no in range(repeats):
-            started = time.perf_counter()
-            _drive_lambda_fleet(fleet, workload, f"n{round_no}")
-            concurrent["seconds"] = min(concurrent["seconds"],
-                                        time.perf_counter() - started)
-            started = time.perf_counter()
-            _drive_oracles(oracles, workload, f"s{round_no}")
-            sequential["seconds"] = min(sequential["seconds"],
-                                        time.perf_counter() - started)
+        timing = paired(
+            lambda: _drive_oracles(oracles, workload, f"s{next(tags)}"),
+            lambda: _drive_lambda_fleet(fleet, workload, f"n{next(tags)}"),
+            repeats)
         snapshot = fleet.fleet_snapshot()
-        respawns = snapshot["respawns"]
         variant_report = fleet.variant_report()
 
-    for side in (sequential, concurrent):
-        side["tokens_per_sec"] = total_tokens / side["seconds"]
-        side["ms_per_request"] = side["seconds"] * 1e3 / n_requests
+    sequential, concurrent = ({"seconds": s,
+                               "tokens_per_sec": total_tokens / s,
+                               "ms_per_request": s * 1e3 / n_requests}
+                              for s in timing.seconds)
     replicas = len(variants) * replicas_per_variant
-    cpu_count = os.cpu_count() or 1
+    head = header()
+    leaked = TensorArena.live_segments()
+    speedup_target = SPEEDUP_TARGET * replicas / 4
+    waiver = Gate.needs_cores(replicas, "replicas")
+    gates = [
+        Gate("memory.plan_over_model", memory["plan_over_model"],
+             PLAN_BYTES_LIMIT, "<="),
+        Gate("parity_ok", parity_ok, True, "=="),
+        Gate("cold.worst_gated_ratio", worst_gated, MATERIALIZE_RATIO_LIMIT,
+             "<="),
+        Gate("respawns", snapshot["respawns"], 0, "=="),
+        Gate("router.conservation_ok", snapshot["router"]["conservation_ok"],
+             1, "=="),
+        Gate("leaked_segments", len(leaked), 0, "=="),
+        *Gate.speedup(timing.ratio, speedup_target, MIN_STARVED_RATIO,
+                      waiver),
+    ]
     return {
+        "header": head,
+        "gates": [g.as_dict() for g in gates],
         "backbone": backbone,
         "n_variants": len(variants),
         "replicas_per_variant": replicas_per_variant,
         "replicas": replicas,
-        "cpu_count": cpu_count,
+        "cpu_count": head["cpu_count"],
         "n_requests": n_requests,
         "max_new_tokens": max_new_tokens,
         "total_tokens": total_tokens,
@@ -251,37 +270,28 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
         "cold": cold_summary,
         "sequential": sequential,
         "fleet": concurrent,
-        "speedup": concurrent["tokens_per_sec"] / sequential["tokens_per_sec"],
-        "speedup_target": SPEEDUP_TARGET * replicas / 4,
-        "target_applies": cpu_count >= replicas,
-        "respawns": respawns,
+        "speedup": timing.ratio,
+        "timing": timing.as_dict(),
+        "speedup_target": speedup_target,
+        "target_applies": waiver is None,
+        "respawns": snapshot["respawns"],
         "router": snapshot["router"],
         "variants": {name: {"spec": entry["spec"],
                             "finished": entry["finished"]}
                      for name, entry in variant_report.items()},
-        "leaked_segments": TensorArena.live_segments(),
+        "leaked_segments": leaked,
     }
-
-
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
 
 
 def format_lambda_report(result: Dict[str, object]) -> str:
     """Human-readable summary of :func:`run_lambda_benchmark`."""
     memory, cold = result["memory"], result["cold"]
     sequential, fleet = result["sequential"], result["fleet"]
-    target = (f">= {result['speedup_target']:.1f}x target"
-              if result["target_applies"] else
-              f"target waived: {result['cpu_count']} core(s) < "
-              f"{result['replicas']} replicas")
     lines = [
         f"family    : {result['n_variants']} variants x "
         f"{result['replicas_per_variant']} replica(s) "
         f"({result['backbone']} backbone, {result['n_requests']} requests, "
-        f"best of {result['repeats']})",
+        f"{result['repeats']} paired rounds)",
         f"residency : plan {memory['plan_bytes'] / 1024:.0f} KiB = "
         f"{memory['plan_over_model']:.2f}x one model "
         f"(limit {memory['limit']:.1f}x; naive K-copy deployment "
@@ -296,14 +306,7 @@ def format_lambda_report(result: Dict[str, object]) -> str:
         f"{sequential['tokens_per_sec']:7.1f} tok/s",
         f"fleet     : {fleet['ms_per_request']:8.1f} ms/req  "
         f"{fleet['tokens_per_sec']:7.1f} tok/s",
-        f"speedup   : {result['speedup']:8.2f}x  ({target})",
+        f"speedup   : {result['speedup']:8.2f}x median",
         f"faults    : {result['respawns']} replica respawn(s)",
     ]
     return "\n".join(lines)
-
-
-def write_lambda_snapshot(result: Dict[str, object], path) -> None:
-    """Write the benchmark report as a JSON perf-trajectory snapshot."""
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -31,10 +31,9 @@ arrays), so a saved ``BENCH_net.json`` replays bit-identically through
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, Optional
 
+from ...bench import Gate, header
 from ...nn.transformer import TransformerLM, preset_config
 from ..loadgen import (WorkloadSpec, arrival_schedule, run_multi_tenant_workload,
                        run_socket_workload, synthetic_prompts)
@@ -209,35 +208,40 @@ def run_drain_phase(model, spec: WorkloadSpec) -> Dict[str, object]:
     import threading
 
     handle = _start(model, ServeConfig(max_batch_size=4))
-    host, port = handle.server.address
     prompts = synthetic_prompts(spec)
     accounting = {}
-    with NetClient(host, port, io_timeout=60.0) as client:
-        ids = [client.submit(prompt_ids=p,
-                             params={"max_new_tokens": spec.max_new_tokens,
-                                     "seed": spec.seed + i})
-               for i, p in enumerate(prompts)]
-        # The drain flag must not outrace the submit frames still in the
-        # socket buffer: wait until the server has admitted all of them.
-        assert client.wait_accepted(ids) == ids
-        drainer = threading.Thread(
-            target=lambda: accounting.update(handle.drain()), daemon=True)
-        drainer.start()
-        # A submit racing the drain: refused with the draining shed code
-        # (probes that slip in before the flag flips complete normally).
-        shed_code = None
-        for _ in range(200):
-            try:
-                client.complete(prompt_ids=prompts[0],
-                                params={"max_new_tokens": 2})
-            except ShedError as exc:
-                shed_code = exc.code
-                break
-            except NetClientError:
-                break  # server finished draining and closed the socket
-        results = [client.wait(cid) for cid in ids]
-        drainer.join(timeout=60.0)
-    handle.stop()
+    try:
+        with NetClient(*handle.server.address, io_timeout=60.0) as client:
+            ids = [client.submit(prompt_ids=p,
+                                 params={"max_new_tokens":
+                                         spec.max_new_tokens,
+                                         "seed": spec.seed + i})
+                   for i, p in enumerate(prompts)]
+            # The drain flag must not outrace the submit frames still in
+            # the socket buffer: wait until the server has admitted all.
+            accepted = client.wait_accepted(ids)
+            if accepted != ids:
+                raise RuntimeError(f"server accepted {accepted} of {ids}")
+            drainer = threading.Thread(
+                target=lambda: accounting.update(handle.drain()),
+                daemon=True)
+            drainer.start()
+            # A submit racing the drain: refused with the draining shed
+            # code (probes that slip in before the flag flips complete).
+            shed_code = None
+            for _ in range(200):
+                try:
+                    client.complete(prompt_ids=prompts[0],
+                                    params={"max_new_tokens": 2})
+                except ShedError as exc:
+                    shed_code = exc.code
+                    break
+                except NetClientError:
+                    break  # server finished draining and closed the socket
+            results = [client.wait(cid) for cid in ids]
+            drainer.join(timeout=60.0)
+    finally:
+        handle.stop()
     return {
         "n_requests": spec.n_requests,
         "n_finished": sum(r.ok for r in results),
@@ -249,7 +253,8 @@ def run_drain_phase(model, spec: WorkloadSpec) -> Dict[str, object]:
 
 def run_net_benchmark(backbone: str = "nano",
                       n_requests: int = 16, seed: int = 3) -> Dict[str, object]:
-    """All phases on one model; the dict ``repro serve-net-bench`` reports."""
+    """All phases on one model; the dict ``repro bench net`` reports, with
+    the ``header`` and ``gates``."""
     model = _model(backbone, seed=0)
     parity_spec = WorkloadSpec(
         n_requests=min(6, n_requests), shared_prefix_tokens=24,
@@ -275,6 +280,7 @@ def run_net_benchmark(backbone: str = "nano",
         max_new_tokens=24, vocab_size=100, seed=seed + 4)
 
     report = {
+        "header": header(),
         "backbone": backbone,
         "seed": seed,
         "slo": {"ttft_p50_s": TTFT_P50_SLO_S, "ttft_p99_s": TTFT_P99_SLO_S,
@@ -286,15 +292,36 @@ def run_net_benchmark(backbone: str = "nano",
         "overload": run_overload_phase(model, overload_spec),
         "drain": run_drain_phase(model, drain_spec),
     }
-    report["slo_ok"] = bool(
-        report["parity"]["byte_identical"]
-        and report["streaming"]["ttft_p50_s"] <= TTFT_P50_SLO_S
-        and report["streaming"]["ttft_p99_s"] <= TTFT_P99_SLO_S
-        and report["streaming"]["tokens_per_second"] >= MIN_TOKENS_PER_SEC
-        and report["fairness"]["within_slo"]
-        and report["overload"]["n_shed"] > 0
-        and report["overload"]["n_errors"] == 0
-        and report["drain"]["conservation_ok"])
+    parity, stream, fair, over, drain = (
+        report[k] for k in ("parity", "streaming", "fairness", "overload",
+                            "drain"))
+    gates = [
+        Gate("parity.byte_identical", parity["byte_identical"], True, "=="),
+        Gate("parity.stream_mismatches", parity["stream_mismatches"], 0,
+             "=="),
+        Gate("streaming.n_errors", stream["n_errors"], 0, "=="),
+        Gate("streaming.protocol_errors", stream["protocol_errors"], 0, "=="),
+        Gate("streaming.conservation_ok", stream["conservation_ok"], True,
+             "=="),
+        Gate("streaming.ttft_p50_s", stream["ttft_p50_s"], TTFT_P50_SLO_S,
+             "<="),
+        Gate("streaming.ttft_p99_s", stream["ttft_p99_s"], TTFT_P99_SLO_S,
+             "<="),
+        Gate("streaming.tokens_per_second", stream["tokens_per_second"],
+             MIN_TOKENS_PER_SEC, ">="),
+        Gate("fairness.within_slo", fair["within_slo"], True, "=="),
+        Gate("overload.n_shed", over["n_shed"], 0, ">"),
+        Gate("overload.retry_after_all_positive",
+             over["retry_after_all_positive"], True, "=="),
+        Gate("overload.n_errors", over["n_errors"], 0, "=="),
+        Gate("overload.conservation_ok", over["conservation_ok"], True, "=="),
+        Gate("drain.n_finished", drain["n_finished"], drain["n_requests"],
+             "=="),
+        Gate("drain.refused_code", drain["refused_code"], "draining", "=="),
+        Gate("drain.conservation_ok", drain["conservation_ok"], True, "=="),
+    ]
+    report["gates"] = [g.as_dict() for g in gates]
+    report["slo_ok"] = all(g.ok for g in gates)
     return report
 
 
@@ -323,8 +350,3 @@ def format_net_report(report: Dict[str, object]) -> str:
         f"conservation_ok={d['conservation_ok']}",
     ]
     return "\n".join(lines)
-
-
-def write_net_snapshot(report: Dict[str, object], path: Path) -> None:
-    """Persist the report (with its replayable arrival arrays) as JSON."""
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -26,9 +26,12 @@ def test_parser_has_all_commands():
     parser = build_parser()
     text = parser.format_help()
     for command in ("merge", "merge-many", "sweep", "zoo", "chat", "table",
-                    "merge-sweep", "serve-bench", "obs-report",
-                    "bench-lambda"):
+                    "merge-sweep", "serve-bench", "obs-report", "bench"):
         assert command in text
+    assert "bench-lambda" not in text
+    for name in ("decode", "kvplane", "fleet", "lambda", "net", "parallel",
+                 "train"):
+        assert parser.parse_args(["bench", name]).name == name
 
 
 def test_obs_report_command(capsys, tmp_path):

@@ -766,3 +766,20 @@ def test_socket_workload_replays_explicit_arrivals(model):
     finally:
         handle.drain()
         handle.stop()
+
+
+def test_drain_benchmark_phase_stops_its_server_when_it_fails(model,
+                                                              monkeypatch):
+    """A failing drain phase raises (also under ``python -O``) and leaves
+    no server thread or socket behind."""
+    from repro.serve.net import bench
+
+    monkeypatch.setattr(NetClient, "wait_accepted", lambda self, ids, **kw: [])
+    spec = WorkloadSpec(n_requests=2, shared_prefix_tokens=6,
+                        unique_tokens=4, max_new_tokens=2, vocab_size=30,
+                        seed=0)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="accepted"):
+        bench.run_drain_phase(model, spec)
+    assert not [t for t in threading.enumerate()
+                if t not in before and t.is_alive()]

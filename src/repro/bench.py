@@ -37,6 +37,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .parallel.blas import blas_thread_policy
+
 _OPS: Dict[str, Callable[[object, object], bool]] = {
     "==": operator.eq, "<=": operator.le, ">=": operator.ge,
     "<": operator.lt, ">": operator.gt,
@@ -206,6 +208,7 @@ def header() -> Dict[str, object]:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": _blas(),
+            "blas_threads": blas_thread_policy(),
             "git_sha": _git_sha()}
 
 

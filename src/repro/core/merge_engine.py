@@ -17,9 +17,11 @@ and the geometric-mean rescale :math:`\\mathrm{Norm}_{chip}^{\\lambda}
 :class:`GeodesicMergeEngine` therefore factors the merge into two phases:
 
 1. **plan** (once per model pair): record each tensor pair's norms and
-   angle Θ and stack the two raw tensors into one float64 ``(2, n)`` row
-   matrix per tensor (:class:`MergePlan`) — the unit projections are never
-   materialised, their ``1/norm`` factors fold into the scalars;
+   angle Θ (computed in float64) and stack the two raw tensors into one
+   ``(2, n)`` row matrix per tensor (:class:`MergePlan`) — float32 when
+   float32 holds both tensors exactly (float32 source models), else
+   float64; the unit projections are never materialised, their
+   ``1/norm`` factors fold into the scalars;
 2. **evaluate** (per λ, per schedule, or per sweep): fold the rescale and
    ``1/norm`` into the two slerp coefficients and apply them with a single
    fused ``(1, 2) @ (2, n)`` BLAS multiply-add per tensor — no
@@ -35,6 +37,14 @@ one-pass GEMM intact), :meth:`GeodesicMergeEngine.isweep` fans out λ
 points and streams merged models back in λ order.  Serial ``isweep`` can
 instead reuse one set of preallocated output buffers across λ points to
 cap peak memory at a single merged model.
+
+Residency: the plan is the one resident copy of the pair.  Float32 rows
+upcast to float64 exactly (:attr:`TensorPlan.stacked64`), so every GEMM
+sees the same float64 operands whichever width the rows are stored at, and
+for float32 models the plan costs 2x one model instead of 4x.  ``merge``
+and ``sweep`` accept ``out`` buffers of any float dtype — e.g. a model's
+own float32 parameters — and fill them one tensor at a time, so building
+merged models never materialises a float64 state dict.
 
 Numerical contract: evaluation performs the same float64 operations as
 :func:`repro.core.geodesic.geodesic_merge` up to re-association of the
@@ -73,10 +83,11 @@ class TensorPlan:
     """Precomputed, λ-independent geometry of one tensor pair.
 
     For mergeable kinds the two *raw* tensors are flattened and stacked
-    into one ``(2, n)`` float64 matrix; the unit projections are never
+    into one ``(2, n)`` matrix — float32 when float32 represents both
+    tensors exactly, float64 otherwise; the unit projections are never
     materialised — the ``1/norm`` factors fold into the per-λ scalar
     coefficients, so any λ evaluates as a single fused multiply-add:
-    ``coeffs @ stacked``.
+    ``coeffs @ stacked64``.
     """
 
     __slots__ = ("key", "kind", "shape", "stacked", "norm_chip",
@@ -105,11 +116,10 @@ class TensorPlan:
     def stacked64(self) -> Optional[np.ndarray]:
         """The stacked rows as float64.
 
-        No-copy when the plan already holds float64; an arena-resident
-        *compact* plan (see :meth:`MergePlan.publish`) stores rows as
-        float32 where that downcast is lossless, and the upcast here
-        reproduces the original float64 bits exactly — evaluation stays
-        bit-identical however the rows were stored.
+        No-copy when the plan holds float64 rows.  Float32 rows (planned
+        from float32 models) upcast exactly, one tensor at a time, so
+        every evaluation sees the same float64 operands — and produces the
+        same bits — however the rows were stored.
         """
         if self.stacked is None or self.stacked.dtype == np.float64:
             return self.stacked
@@ -130,7 +140,12 @@ class TensorPlan:
                 scale * coeff_instruct / self.norm_instruct)
 
     def evaluate(self, lam: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Merged tensor at ``lam``; writes into ``out`` when provided."""
+        """Merged tensor at ``lam``; writes into ``out`` when provided.
+
+        A non-float64 ``out`` (a float32 parameter) receives the float64
+        result with the rounding of ``np.asarray(result, out.dtype)`` —
+        the cast :meth:`~repro.nn.module.Module.load_state_dict` applies.
+        """
         if self.kind in (KIND_SLERP, KIND_LINEAR):
             coeffs = np.asarray(self.coefficients(lam), dtype=np.float64)
             if (out is not None and out.dtype == np.float64
@@ -250,21 +265,16 @@ class MergePlan:
                  plan.stacked is not None, plan.raw_chip is not None)
                 for plan in self]
 
-    def publish(self, arena, prefix: str = ARENA_PREFIX,
-                compact: bool = True) -> List[Tuple]:
+    def publish(self, arena, prefix: str = ARENA_PREFIX) -> List[Tuple]:
         """Publish the plan's buffers into a shared-memory arena.
 
         Everything lands in **one** segment (64-byte-aligned packing via
         :meth:`~repro.parallel.TensorArena.publish_dict`) under
-        ``{prefix}.stacked.{key}`` / ``{prefix}.raw.{key}``.  With
-        ``compact=True`` each float64 ``(2, n)`` row block is stored as
-        float32 when that downcast is verified lossless per tensor — always
-        the case when the source models were float32, since float32 →
-        float64 conversion is exact — which halves the resident footprint
-        to ~2x one float32 model while keeping every evaluation
-        bit-identical (readers upcast through
-        :attr:`TensorPlan.stacked64`).  Tensors whose rows do not survive
-        the round trip stay float64.
+        ``{prefix}.stacked.{key}`` / ``{prefix}.raw.{key}``.  Rows are
+        stored exactly as planned — float32 for float32 source models
+        (~2x one model's bytes), float64 otherwise — so the arena plan and
+        the in-process plan hold the same bytes and evaluate to the same
+        bits (readers upcast through :attr:`TensorPlan.stacked64`).
 
         Returns the :meth:`metas` list; ``(arena.handle(), metas)`` is the
         picklable pair :meth:`from_view` (or a pool initializer) rebuilds
@@ -273,12 +283,7 @@ class MergePlan:
         tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for plan in self:
             if plan.stacked is not None:
-                rows = plan.stacked
-                if compact and rows.dtype == np.float64:
-                    narrow = rows.astype(np.float32)
-                    if np.array_equal(narrow.astype(np.float64), rows):
-                        rows = narrow
-                tensors[f"stacked.{plan.key}"] = rows
+                tensors[f"stacked.{plan.key}"] = plan.stacked
             if plan.raw_chip is not None:
                 tensors[f"raw.{plan.key}"] = plan.raw_chip
         if tensors:
@@ -291,8 +296,7 @@ class MergePlan:
         """Rebuild a plan over zero-copy arena views of published buffers.
 
         The rebuilt plan evaluates bit-identically to the one that was
-        published (compact float32 rows upcast exactly; see
-        :meth:`publish`).
+        published (it reads the very same rows; see :meth:`publish`).
         """
         tensors: "OrderedDict[str, TensorPlan]" = OrderedDict()
         for (key, kind, shape, norm_chip, norm_instruct, theta, sin_theta,
@@ -309,28 +313,33 @@ class MergePlan:
 def _plan_tensor(key: str, w_chip: np.ndarray, w_instruct: np.ndarray) -> TensorPlan:
     """Classify one tensor pair and precompute its geometry.
 
-    Builds the ``(2, n)`` stacked matrix in place (one float64 conversion
-    per tensor, no unit-tensor copies — norms and the angle come from BLAS
-    dot products on the raw rows), so planning costs *less* than one naive
-    merge.
+    Copies the pair into its ``(2, n)`` stacked matrix — float32 when
+    float32 represents both tensors exactly, since float32 → float64 is
+    exact, otherwise float64 — and takes the norms and the angle from BLAS
+    dot products on the float64 rows (one transient tensor pair, no
+    unit-tensor copies), so planning costs *less* than one naive merge.
     """
     chip = np.asarray(w_chip)
     instruct = np.asarray(w_instruct)
     if chip.shape != instruct.shape:
         raise ValueError(f"shape mismatch for {key!r}: {chip.shape} vs {instruct.shape}")
     shape = chip.shape
-    stacked = np.empty((2, chip.size), dtype=np.float64)
+    narrow = (np.can_cast(chip.dtype, np.float32)
+              and np.can_cast(instruct.dtype, np.float32))
+    stacked = np.empty((2, chip.size),
+                       dtype=np.float32 if narrow else np.float64)
     stacked[0] = chip.reshape(-1)
     stacked[1] = instruct.reshape(-1)
-    norm_chip = float(np.sqrt(np.dot(stacked[0], stacked[0])))
-    norm_instruct = float(np.sqrt(np.dot(stacked[1], stacked[1])))
+    rows = np.asarray(stacked, dtype=np.float64)
+    norm_chip = float(np.sqrt(np.dot(rows[0], rows[0])))
+    norm_instruct = float(np.sqrt(np.dot(rows[1], rows[1])))
     if norm_chip == 0.0 and norm_instruct == 0.0:
         return TensorPlan(key, KIND_ZERO, shape)
     if norm_chip == 0.0 or norm_instruct == 0.0:
         # One-zero fallback: the pragmatic linear blend (see geodesic_merge's
         # docstring — this is NOT the continuous extension of the formula).
         return TensorPlan(key, KIND_LINEAR, shape, stacked=stacked)
-    cosine = float(np.dot(stacked[0], stacked[1])) / (norm_chip * norm_instruct)
+    cosine = float(np.dot(rows[0], rows[1])) / (norm_chip * norm_instruct)
     theta = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
     if np.pi - theta < ANTIPODAL_MARGIN:
         raise ValueError(
@@ -393,6 +402,14 @@ def _merge_point(lam: float) -> "OrderedDict[str, np.ndarray]":
     return merged
 
 
+def parameter_arrays(model) -> "OrderedDict[str, np.ndarray]":
+    """A model's own parameter arrays by state-dict name (no copies): the
+    planning input of :meth:`GeodesicMergeEngine.from_models`, and the
+    ``out`` buffers that merge straight into a model's weights."""
+    return OrderedDict((name, param.data)
+                       for name, param in model.named_parameters())
+
+
 class GeodesicMergeEngine:
     """Reusable ChipAlign merger for one (chip, instruct) model pair.
 
@@ -417,9 +434,11 @@ class GeodesicMergeEngine:
 
     Notes
     -----
-    The plan holds one float64 copy of both models' weights (~2× one
-    model's float64 footprint) — the space cost of making every subsequent
-    λ evaluation a single fused multiply-add per tensor.
+    The plan holds one copy of both models' weights at their own width:
+    2× one model's bytes for a float32 pair (float64 only where float32
+    cannot hold the sources).  That is the space cost of making every
+    subsequent λ evaluation a single fused multiply-add per tensor; the
+    float64 operands of that multiply-add exist one tensor at a time.
     """
 
     def __init__(self, chip: StateDict, instruct: StateDict,
@@ -463,10 +482,6 @@ class GeodesicMergeEngine:
 
             arena = TensorArena()
             with self.obs.span("merge.arena_publish", tensors=len(self.plan)):
-                # Compact residency: rows whose float32 downcast is lossless
-                # (all of them, for float32 source models) are stored
-                # narrow; workers upcast exactly, so pooled sweeps stay
-                # bit-identical to serial while the segment halves.
                 metas = self.plan.publish(arena)
             self._arena = arena
             self._arena_metas = metas
@@ -505,12 +520,17 @@ class GeodesicMergeEngine:
     @classmethod
     def from_models(cls, chip_model, instruct_model,
                     **kwargs) -> "GeodesicMergeEngine":
-        """Build an engine from two same-architecture models."""
+        """Build an engine from two same-architecture models.
+
+        Plans straight from the models' parameter arrays — planning copies
+        each pair into its own rows, so no ``state_dict()`` copy is taken.
+        """
         if chip_model.config != instruct_model.config:
             raise ValueError(
                 "models must share an architecture: "
                 f"{chip_model.config} vs {instruct_model.config}")
-        return cls(chip_model.state_dict(), instruct_model.state_dict(), **kwargs)
+        return cls(parameter_arrays(chip_model),
+                   parameter_arrays(instruct_model), **kwargs)
 
     @staticmethod
     def _check_lam(lam: float) -> float:
@@ -529,7 +549,8 @@ class GeodesicMergeEngine:
               out: Optional["OrderedDict[str, np.ndarray]"] = None,
               ) -> "OrderedDict[str, np.ndarray]":
         """Merged state dict at one λ (coefficient math + fused scale-add
-        only).  Pass ``out`` (from :meth:`new_buffers`) to write in place."""
+        only).  Pass ``out`` (from :meth:`new_buffers`, or a model's own
+        parameter arrays) to write in place, one tensor at a time."""
         lam = self._check_lam(lam)
         merged: "OrderedDict[str, np.ndarray]" = OrderedDict()
         with self.obs.span("merge.evaluate", lam=lam):
@@ -556,12 +577,17 @@ class GeodesicMergeEngine:
     # ------------------------------------------------------------------
     def sweep(self, lams: Sequence[float],
               n_workers: Optional[int] = None,
+              out: Optional[Sequence["OrderedDict[str, np.ndarray]"]] = None,
               ) -> List["OrderedDict[str, np.ndarray]"]:
         """Merged state dicts for every λ in ``lams``.
 
         Each tensor's whole sweep lands in one ``(L, n)`` row block; the
         returned dicts hold row views into those per-tensor results (no
-        per-λ copies).  With ``n_workers > 1`` tensors are evaluated by a
+        per-λ copies).  Pass ``out`` — one buffer dict per λ, e.g. the
+        parameter arrays of L models — to have each block written into
+        them as soon as it is evaluated and then dropped: the sweep is
+        then never resident beyond one tensor's rows, and ``out`` is
+        returned.  With ``n_workers > 1`` tensors are evaluated by a
         worker pool against the shared-memory plan; results are
         bit-identical to the serial path (per-λ parallelism with ordered
         streaming is :meth:`isweep`'s job).
@@ -570,23 +596,32 @@ class GeodesicMergeEngine:
 
         lam_arr = np.asarray([self._check_lam(lam) for lam in lams],
                              dtype=np.float64)
+        if out is not None and len(out) != len(lam_arr):
+            raise ValueError(f"out holds {len(out)} buffer sets for "
+                             f"{len(lam_arr)} lambda points")
         workers = effective_workers(
             self.n_workers if n_workers is None else n_workers)
+        rows: Dict[str, np.ndarray] = {}
         with self.obs.span("merge.sweep", points=len(lam_arr),
                            workers=workers):
             if workers > 1 and len(self.plan) > 1:
-                rows = self._sweep_parallel(lam_arr, workers)
+                blocks = self._sweep_parallel(lam_arr, workers)
             else:
-                rows = {plan.key: plan.evaluate_sweep(lam_arr)
-                        for plan in self.plan}
+                blocks = ((plan.key, plan.evaluate_sweep(lam_arr))
+                          for plan in self.plan)
+            for key, block in blocks:
+                if out is None:
+                    rows[key] = block
+                    continue
+                shape = self.plan.tensors[key].shape
+                for buffers, row in zip(out, block):
+                    buffers[key][...] = row.reshape(shape)
         self._account_evaluations(len(lam_arr))
-        results: List["OrderedDict[str, np.ndarray]"] = []
-        for index in range(len(lam_arr)):
-            merged: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            for plan in self.plan:
-                merged[plan.key] = rows[plan.key][index].reshape(plan.shape)
-            results.append(merged)
-        return results
+        if out is not None:
+            return list(out)
+        return [OrderedDict((plan.key, rows[plan.key][index].reshape(plan.shape))
+                            for plan in self.plan)
+                for index in range(len(lam_arr))]
 
     def isweep(self, lams: Sequence[float], reuse_buffers: bool = False,
                n_workers: Optional[int] = None,
@@ -627,9 +662,10 @@ class GeodesicMergeEngine:
         return WorkerPool(workers, initializer=_sweep_worker_init,
                           initargs=(handle, metas), obs=self.obs)
 
-    def _sweep_parallel(self, lam_arr: np.ndarray,
-                        workers: int) -> Dict[str, np.ndarray]:
-        """Fan tensors out to a pool evaluating against the shared plan.
+    def _sweep_parallel(self, lam_arr: np.ndarray, workers: int,
+                        ) -> Iterator[Tuple[str, np.ndarray]]:
+        """Fan tensors out to a pool evaluating against the shared plan,
+        yielding ``(key, rows)`` in plan order as they arrive.
 
         Each worker computes whole ``(L, n)`` row blocks — the same GEMM
         the serial path runs — so results are bit-identical however the
@@ -640,8 +676,11 @@ class GeodesicMergeEngine:
         keys = self.plan.keys
         with task_context(sweep_lams=tuple(float(lam) for lam in lam_arr)):
             with self._pool(min(workers, len(keys))) as pool:
-                parts = pool.map_chunked(_sweep_tensor_key, keys)
-        return dict(zip(keys, parts))
+                done = 0
+                for _, parts in pool.imap_chunked(_sweep_tensor_key, keys):
+                    for block in parts:
+                        yield keys[done], block
+                        done += 1
 
     def _isweep_parallel(self, lam_list: List[float], workers: int,
                          ) -> Iterator[Tuple[float, "OrderedDict[str, np.ndarray]"]]:

@@ -118,13 +118,15 @@ class Module:
         for name, param in own.items():
             if name not in state:
                 continue
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
+            value = state[name]
+            if np.shape(value) != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: model {param.data.shape}, "
-                    f"state {value.shape}"
+                    f"state {np.shape(value)}"
                 )
-            param.data = value.copy()
+            # One C-ordered copy that casts on the way: the parameter never
+            # aliases the caller's array.
+            param.data = np.array(value, dtype=param.data.dtype, order="C")
 
     # ------------------------------------------------------------------
     # call protocol

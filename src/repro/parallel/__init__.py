@@ -13,10 +13,12 @@ Two halves, designed to be used together:
 Every ``workers=`` knob in the repo (eval harness, merge-engine λ-sweeps,
 model zoo, RAG indexing) resolves through :func:`effective_workers` and
 falls back to the serial code path when parallelism is unavailable or not
-requested — results are bit-identical either way.
+requested — results are bit-identical either way.  Every forked child runs
+with one BLAS thread (:mod:`repro.parallel.blas`).
 """
 
 from .arena import ALIGN, ArenaHandle, ArenaView, TensorArena, TensorSpec
+from .blas import CHILD_BLAS_THREADS, blas_threads, pin_blas_threads
 from .pool import (MAX_RETRIES, POLL_INTERVAL, ParallelTaskError,
                    ProcessSupervisor, WorkerPool, effective_workers,
                    get_task_context, parallel_available, task_context,
@@ -24,6 +26,7 @@ from .pool import (MAX_RETRIES, POLL_INTERVAL, ParallelTaskError,
 
 __all__ = [
     "ALIGN", "ArenaHandle", "ArenaView", "TensorArena", "TensorSpec",
+    "CHILD_BLAS_THREADS", "blas_threads", "pin_blas_threads",
     "MAX_RETRIES", "POLL_INTERVAL", "ParallelTaskError", "ProcessSupervisor",
     "WorkerPool", "effective_workers", "get_task_context",
     "parallel_available", "task_context", "task_obs", "worker_obs",

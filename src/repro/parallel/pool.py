@@ -51,6 +51,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..obs import Observability
+from .blas import pin_blas_threads
 
 #: Seconds between scheduler wake-ups while waiting on workers.
 POLL_INTERVAL = 0.02
@@ -191,15 +192,23 @@ def _worker_main(worker_id: int, conn, results, initializer, initargs) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _child_main(target: Callable, *args) -> None:
+    """Every forked child's entry point: one BLAS thread, then ``target``."""
+    pin_blas_threads()
+    target(*args)
+
+
 class ProcessSupervisor:
     """Fork-process lifecycle shared by :class:`WorkerPool` and
     :class:`repro.serve.fleet.FleetServer`: pipe-oriented spawn, kill+join
     teardown, and counted respawn.
 
     :meth:`spawn` builds a one-way parent→child command pipe, starts a
-    daemon process running ``target(proc_id, recv_end, *extra_args)``,
-    closes the child's pipe end in the parent, and returns
-    ``(process, send_conn)`` — the parent dispatches over ``send_conn``.
+    daemon process that pins its BLAS threads
+    (:func:`~repro.parallel.blas.pin_blas_threads`) and then runs
+    ``target(proc_id, recv_end, *extra_args)``, closes the child's pipe
+    end in the parent, and returns ``(process, send_conn)`` — the parent
+    dispatches over ``send_conn``.
     """
 
     def __init__(self, obs: Optional[Observability] = None,
@@ -216,8 +225,8 @@ class ProcessSupervisor:
         # Pipe(False) gives (recv, send): the child reads commands from
         # recv_end while the parent keeps send_end for dispatch.
         process = self.ctx.Process(
-            target=target,
-            args=(proc_id, recv_end) + tuple(extra_args),
+            target=_child_main,
+            args=(target, proc_id, recv_end) + tuple(extra_args),
             daemon=True)
         process.start()
         recv_end.close()  # parent keeps only the sending end

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import merge_engine as merge_engine_mod
-from ..core.merge_engine import GeodesicMergeEngine
+from ..core.merge_engine import GeodesicMergeEngine, parameter_arrays
 from ..core.registry import merge as registry_merge
 from ..data import (eda_domain, industrial_qa, openroad_qa)
 from ..data.corpus import pretraining_sentences
@@ -259,22 +259,25 @@ class ModelZoo:
 
         Merging is fast (seconds), so merged models are built on demand and
         memo-cached in memory only.  Plain-λ chipalign merges reuse the
-        family's cached :meth:`merge_engine` plan instead of re-projecting.
+        family's cached :meth:`merge_engine` plan instead of re-projecting,
+        and write each merged tensor straight into the new model's
+        parameter — no float64 state dict is ever built.
         """
         key = self._merged_key(family, method, kwargs)
         if key in self._models:
             return self._models[key]
         chip = self.chip_model(family)
+        model = TransformerLM(chip.config)
         if method == "chipalign" and set(kwargs) <= {"lam"}:
-            merged_sd = self.merge_engine(family).merge(kwargs.get("lam", 0.6))
+            self.merge_engine(family).merge(kwargs.get("lam", 0.6),
+                                            out=parameter_arrays(model))
         else:
             instruct = self.get(family, "instruct")
             base = self.get(family, "base")
             merged_sd = registry_merge(method, chip=chip.state_dict(),
                                        instruct=instruct.state_dict(),
                                        base=base.state_dict(), **kwargs)
-        model = TransformerLM(chip.config)
-        model.load_state_dict(dict(merged_sd))
+            model.load_state_dict(dict(merged_sd))
         model.eval()
         self._models[key] = model
         return model
@@ -286,10 +289,12 @@ class ModelZoo:
         The whole sweep shares one :meth:`merge_engine` plan and evaluates
         tensor-at-a-time (:meth:`GeodesicMergeEngine.sweep`), so figure-8
         style λ studies cost one plan plus L coefficient evaluations
-        instead of L full merges.  Results land in the same memo cache
-        :meth:`merged` uses, so mixed call patterns never re-merge.
-        ``n_workers`` forwards to the engine's pooled sweep (bit-identical
-        to serial).
+        instead of L full merges.  Each tensor's ``(L, n)`` rows are cast
+        into the L models' parameters and dropped before the next tensor
+        is evaluated, so the sweep never holds a float64 model.  Results
+        land in the same memo cache :meth:`merged` uses, so mixed call
+        patterns never re-merge.  ``n_workers`` forwards to the engine's
+        pooled sweep (bit-identical to serial).
         """
         lams = [float(lam) for lam in lams]
         missing = [lam for lam in lams
@@ -298,10 +303,10 @@ class ModelZoo:
         if missing:
             engine = self.merge_engine(family)
             config = self.chip_model(family).config
-            for lam, merged_sd in zip(missing,
-                                      engine.sweep(missing, n_workers=n_workers)):
-                model = TransformerLM(config)
-                model.load_state_dict(dict(merged_sd))
+            models = [TransformerLM(config) for _ in missing]
+            engine.sweep(missing, n_workers=n_workers,
+                         out=[parameter_arrays(model) for model in models])
+            for lam, model in zip(missing, models):
                 model.eval()
                 key = self._merged_key(family, "chipalign", {"lam": lam})
                 self._models[key] = model

@@ -7,7 +7,7 @@ dimension:
    One :class:`~repro.core.merge_engine.MergePlan` is published to the
    arena and its payload bytes are compared against one fp32 model's
    state-dict bytes and against the naive deployment (K full merged
-   copies).  The compact-row plan must stay within
+   copies).  The float32-row plan must stay within
    :data:`PLAN_BYTES_LIMIT` × one model — all K variants ride that one
    footprint.
 2. **Parity** — the correctness gate, asserted unconditionally.  A

@@ -9,8 +9,8 @@ raw endpoint tensors) is published into the shared-memory
 :class:`~repro.parallel.TensorArena` **once**, and every variant's weights
 are realized lazily, tensor-by-tensor, from zero-copy views of that plan.
 
-Residency math: the plan stores the two float32 endpoints' rows compacted
-back to float32 (the downcast is verified lossless per tensor; see
+Residency math: the plan stores the two float32 endpoints' rows as float32
+from planning on (float32 → float64 is exact; see
 :meth:`MergePlan.publish`), so **K variants stay resident at ~2x one
 model's arena bytes** instead of K×.  Evaluation upcasts to float64 and
 runs the exact engine math, so every materialized variant is bit-identical
@@ -147,24 +147,19 @@ class VariantSpec:
 # ---------------------------------------------------------------------------
 
 
-def new_scratch(plan: MergePlan) -> np.ndarray:
-    """One pooled float64 row big enough for the plan's largest tensor —
-    the only λ-dependent float64 ever allocated during materialization."""
-    largest = max((tensor.size for tensor in plan), default=1)
-    return np.empty(largest, dtype=np.float64)
-
-
 def materialize_variant(plan: MergePlan, spec: VariantSpec, dtype=None,
-                        scratch: Optional[np.ndarray] = None,
                         ) -> "OrderedDict[str, np.ndarray]":
     """Realize one variant's full state dict from the shared plan.
 
-    Tensors are evaluated one at a time through a pooled float64 scratch
-    row, so peak transient memory is one largest-tensor row — not a full
-    float64 model.  The result is cast to ``dtype`` (the model default,
-    float32) with the same rounding ``load_state_dict`` applies, making the
-    returned dict byte-identical to loading the corresponding oracle merge
-    into a ``TransformerLM`` (see the module table).
+    Tensors are evaluated one at a time straight into ``dtype`` arrays
+    (the model default, float32) through :meth:`TensorPlan.evaluate`'s
+    ``out``, so peak transient memory is one largest-tensor float64
+    result — not a full float64 model.  The cast is the rounding
+    ``load_state_dict`` applies, making the returned dict byte-identical
+    to loading the corresponding oracle merge into a ``TransformerLM``
+    (see the module table).  This is the same tensor-at-a-time path
+    :meth:`~repro.pipelines.model_zoo.ModelZoo.merged` builds its models
+    through.
 
     Karcher variants require both endpoints for every tensor, so plans
     built with exclude patterns are rejected for that kind; errors from the
@@ -187,13 +182,11 @@ def materialize_variant(plan: MergePlan, spec: VariantSpec, dtype=None,
                     tensor.stacked64, spec.weights).reshape(tensor.shape)
             state[tensor.key] = merged.astype(dtype)
         return state
-    if scratch is None:
-        scratch = new_scratch(plan)
     for tensor in plan:
         lam = (spec.lam if spec.kind == "scalar"
                else spec.table.lam_for(tensor.key))
-        buf = scratch[:tensor.size].reshape(tensor.shape)
-        state[tensor.key] = tensor.evaluate(lam, out=buf).astype(dtype)
+        state[tensor.key] = tensor.evaluate(
+            lam, out=np.empty(tensor.shape, dtype=dtype))
     return state
 
 
@@ -346,7 +339,7 @@ class LambdaFleetServer(FleetServer):
     # plan publication and per-replica sources
     # ------------------------------------------------------------------
     def _publish_model(self, model) -> None:
-        """Publish the shared plan once (compact rows) and build one
+        """Publish the shared plan once (float32 rows) and build one
         picklable :class:`VariantSource` per variant.  ``model`` is unused —
         the λ-fleet's weights *are* the plan."""
         metas = self._plan.publish(self._arena, prefix=PLAN_PREFIX)

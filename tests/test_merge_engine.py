@@ -216,8 +216,8 @@ def test_plan_summary_and_total_params():
 
 
 def test_plan_is_isolated_from_input_mutation():
-    """The plan holds its own float64 copies; mutating the source state
-    dicts afterwards must not change results."""
+    """The plan holds its own copies; mutating the source state dicts
+    afterwards must not change results."""
     a, b = make_pair()
     engine = GeodesicMergeEngine(a, b)
     expected = engine.merge(0.6)

@@ -76,6 +76,44 @@ def test_load_state_dict_non_strict_partial():
     assert np.array_equal(block.fc1.weight.data, original)
 
 
+def test_load_state_dict_copies_once_and_never_aliases():
+    """Every loaded parameter is a fresh C-ordered copy, bitwise equal to
+    the old cast-then-copy result, for float32, float64 (cast) and
+    Fortran-ordered inputs."""
+    rng = np.random.default_rng(4)
+    block = Block()
+    state = {
+        "scale": np.array([2.5], dtype=np.float32),
+        "fc1.weight": rng.normal(size=(8, 4)),                       # float64
+        "fc1.bias": rng.normal(size=8).astype(np.float32),
+        "fc2.weight": np.asfortranarray(rng.normal(size=(2, 8))),    # F order
+        "fc2.bias": rng.normal(size=2).astype(np.float32),
+    }
+    block.load_state_dict(state)
+    for name, param in block.named_parameters():
+        want = np.asarray(state[name], dtype=param.data.dtype).copy()
+        assert not np.shares_memory(param.data, state[name]), name
+        assert param.data.flags.c_contiguous, name
+        assert param.data.dtype == want.dtype
+        assert param.data.tobytes() == want.tobytes(), name
+
+
+def test_load_state_dict_casting_load_allocates_one_copy():
+    """A float64 → float32 load allocates the parameter once, not a cast
+    temporary plus a copy of it."""
+    import tracemalloc
+
+    module = Module()
+    module.w = Parameter(np.zeros(1 << 18, dtype=np.float32))
+    value = np.ones(1 << 18, dtype=np.float64)
+    tracemalloc.start()
+    module.load_state_dict({"w": value})
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert module.w.data.dtype == np.float32
+    assert peak < 1.5 * module.w.data.nbytes
+
+
 def test_train_eval_recursive():
     block = Block()
     block.eval()

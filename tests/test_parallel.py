@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.obs import Observability
-from repro.parallel import (ALIGN, ArenaHandle, ParallelTaskError,
-                            TensorArena, WorkerPool, effective_workers,
+from repro.parallel import (ALIGN, CHILD_BLAS_THREADS, ArenaHandle,
+                            ParallelTaskError, TensorArena, WorkerPool,
+                            blas_threads, effective_workers,
                             get_task_context, parallel_available,
                             task_context, task_obs, worker_obs)
 
@@ -404,6 +405,49 @@ def test_effective_workers_resolution():
     assert effective_workers(1) == 1
     if parallel_available():
         assert effective_workers(4) == 4
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy: forked children pin, the parent keeps its threads
+# ---------------------------------------------------------------------------
+
+
+def _child_blas_threads(_):
+    return blas_threads()
+
+
+@needs_fork
+def test_forked_children_run_one_blas_thread():
+    parent = blas_threads()
+    with WorkerPool(2) as pool:
+        counts = pool.map_chunked(_child_blas_threads, list(range(4)))
+    assert blas_threads() == parent
+    if parent is None:
+        assert counts == [None] * 4   # no bundled OpenBLAS: the pin is a no-op
+    else:
+        assert counts == [CHILD_BLAS_THREADS] * 4
+
+
+def test_blas_pin_without_openblas_is_a_recorded_no_op(monkeypatch):
+    from repro import bench
+    from repro.parallel import blas
+
+    monkeypatch.setattr(blas, "_openblas", lambda: (None, "no OpenBLAS here"))
+    assert blas.pin_blas_threads() == "no OpenBLAS here"
+    assert blas.blas_threads() is None
+    assert bench.header()["blas_threads"] == {
+        "parent": None, "children": None, "pin_unavailable": "no OpenBLAS here"}
+
+
+def test_header_records_parent_and_child_blas_threads():
+    from repro import bench
+
+    policy = bench.header()["blas_threads"]
+    assert policy["parent"] == blas_threads()
+    if policy["parent"] is not None:
+        assert policy == {"parent": blas_threads(),
+                          "children": CHILD_BLAS_THREADS,
+                          "pin_unavailable": None}
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,18 @@ tolerance:
 * results are reassembled **by task index**, so the returned list is in
   input order no matter which worker finished when, and a retried task
   whose first result arrives late is discarded, not double-counted;
-* each worker reports on a **result pipe of its own**, written
-  synchronously, so a worker killed mid-write can garble or wedge only its
-  own channel — never a lock or a stream the other workers share.
+* a worker that dies right after sending a result still gets that result
+  accepted: respawn reads its channel to EOF first.
+
+The process channel itself — spawn, event pipes, the ``ready`` handshake,
+respawn and teardown — belongs to
+:class:`~repro.parallel.supervisor.ProcessSupervisor`, shared with the
+serve fleet; this module keeps only the pool's messages.
 
 Observability rides along: each task executes against a fresh
 :class:`~repro.obs.Observability` (reachable from task code via
 :func:`worker_obs`) whose export is shipped back with the result and
-absorbed — exactly once, keyed by registry uid — into the pool's parent
+absorbed — exactly once, keyed by task identity — into the pool's parent
 handle.  Serial fallbacks push the parent handle via :func:`task_obs`, so
 item functions are written once and record correctly in both modes.
 
@@ -39,30 +43,21 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-import os
-import signal
 import time
 import traceback
 from collections import deque
 from contextlib import contextmanager
-from multiprocessing.connection import wait
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..obs import Observability
-from .blas import pin_blas_threads
+from .supervisor import READY, ProcessSupervisor, parallel_available
 
 #: Seconds between scheduler wake-ups while waiting on workers.
 POLL_INTERVAL = 0.02
 
 #: Default extra attempts granted to a failing task.
 MAX_RETRIES = 2
-
-
-def parallel_available() -> bool:
-    """Whether the process-parallel paths can run here (fork support)."""
-    return hasattr(os, "fork")
 
 
 def effective_workers(workers: Optional[int]) -> int:
@@ -160,95 +155,24 @@ def _maybe_export(obs: Observability) -> Optional[Dict[str, object]]:
     return exported
 
 
-def _worker_main(worker_id: int, conn, results, initializer, initargs) -> None:
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-        results.send(("ready", worker_id, os.getpid()))
-        while True:
-            try:
-                task = conn.recv()
-            except (EOFError, OSError):
-                return
-            if task is None:
-                return
-            task_id, attempt, fn, chunk = task
-            obs = Observability()
-            try:
-                with task_obs(obs):
-                    payload = [fn(item) for item in chunk]
-            except Exception:
-                results.send(("error", worker_id, task_id, attempt,
-                              traceback.format_exc()))
-            else:
-                results.send(("done", worker_id, task_id, attempt,
-                              payload, _maybe_export(obs)))
-    except KeyboardInterrupt:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# process lifecycle (shared with the serve fleet)
-# ---------------------------------------------------------------------------
-
-
-def _child_main(target: Callable, *args) -> None:
-    """Every forked child's entry point: one BLAS thread, then ``target``."""
-    pin_blas_threads()
-    target(*args)
-
-
-class ProcessSupervisor:
-    """Fork-process lifecycle shared by :class:`WorkerPool` and
-    :class:`repro.serve.fleet.FleetServer`: pipe-oriented spawn, kill+join
-    teardown, and counted respawn.
-
-    :meth:`spawn` builds a one-way parent→child command pipe, starts a
-    daemon process that pins its BLAS threads
-    (:func:`~repro.parallel.blas.pin_blas_threads`) and then runs
-    ``target(proc_id, recv_end, *extra_args)``, closes the child's pipe
-    end in the parent, and returns ``(process, send_conn)`` — the parent
-    dispatches over ``send_conn``.
-    """
-
-    def __init__(self, obs: Optional[Observability] = None,
-                 respawn_counter: str = "parallel.worker_respawns") -> None:
-        if not parallel_available():
-            raise RuntimeError("ProcessSupervisor requires os.fork")
-        self.ctx = multiprocessing.get_context("fork")
-        self.obs = obs if obs is not None else Observability()
-        self.respawn_counter = respawn_counter
-
-    def spawn(self, target: Callable, proc_id: int,
-              extra_args: Tuple = ()) -> Tuple[object, object]:
-        recv_end, send_end = self.ctx.Pipe(duplex=False)
-        # Pipe(False) gives (recv, send): the child reads commands from
-        # recv_end while the parent keeps send_end for dispatch.
-        process = self.ctx.Process(
-            target=_child_main,
-            args=(target, proc_id, recv_end) + tuple(extra_args),
-            daemon=True)
-        process.start()
-        recv_end.close()  # parent keeps only the sending end
-        return process, send_end
-
-    def terminate(self, process, conn, join_timeout: float = 2.0) -> None:
-        """Kill (if alive), join, and close the dispatch pipe."""
-        if process.is_alive():
-            process.kill()
-        process.join(timeout=join_timeout)
+def _worker_main(conn, events, initializer, initargs) -> None:
+    if initializer is not None:
+        initializer(*initargs)
+    events.send(READY)
+    while True:
+        task = conn.recv()
+        if task is None:
+            return
+        task_id, attempt, fn, chunk = task
+        obs = Observability()
         try:
-            conn.close()
-        except OSError:
-            pass
-
-    def respawn(self, target: Callable, proc_id: int, extra_args: Tuple,
-                process, conn) -> Tuple[object, object]:
-        """Tear the dead/hung process down and spawn a replacement."""
-        self.terminate(process, conn)
-        replacement = self.spawn(target, proc_id, extra_args)
-        self.obs.registry.counter(self.respawn_counter).inc()
-        return replacement
+            with task_obs(obs):
+                payload = [fn(item) for item in chunk]
+        except Exception:
+            events.send(("error", task_id, attempt, traceback.format_exc()))
+        else:
+            events.send(("done", task_id, attempt, payload,
+                         _maybe_export(obs)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +181,6 @@ class ProcessSupervisor:
 
 #: Monotonic pool ids making absorb keys unique across pools in a process.
 _POOL_SEQ = itertools.count()
-
-
-class _WorkerSlot:
-    """One worker position: process + dispatch and result pipes +
-    scheduling state."""
-
-    __slots__ = ("process", "conn", "results", "state", "task_id", "attempt",
-                 "dispatched_at")
-
-    def __init__(self, process, conn, results) -> None:
-        self.process = process
-        self.conn = conn
-        self.results = results
-        self.state = "starting"  # starting -> idle <-> busy; closed at exit
-        self.task_id: Optional[int] = None
-        self.attempt = 0
-        self.dispatched_at = 0.0
 
 
 class _Task:
@@ -328,38 +235,21 @@ class WorkerPool:
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.obs = obs if obs is not None else Observability()
-        self._supervisor = ProcessSupervisor(obs=self.obs)
-        self._ctx = self._supervisor.ctx
         self._pool_uid = next(_POOL_SEQ)
-        self._initializer = initializer
-        self._initargs = initargs
-        self._slots: List[_WorkerSlot] = []
+        #: Per worker slot: ``(task_id, dispatched_at)`` while busy.
+        self._assigned: List[Optional[Tuple[int, float]]] = [None] * n_workers
         self._active: Dict[int, _Task] = {}
+        self._pending: deque = deque()
+        self._completed: Dict[int, List] = {}
         self._next_task_id = 0
         self._closed = False
-        for worker_id in range(n_workers):
-            self._slots.append(self._spawn(worker_id))
-
-    # ------------------------------------------------------------------
-    def _spawn(self, worker_id: int,
-               dead: Optional[_WorkerSlot] = None) -> _WorkerSlot:
-        """Start the worker for ``worker_id``, tearing ``dead`` down first."""
-        results, result_end = self._ctx.Pipe(duplex=False)
-        args = (result_end, self._initializer, self._initargs)
-        if dead is None:
-            process, conn = self._supervisor.spawn(_worker_main, worker_id,
-                                                   args)
-        else:
-            process, conn = self._supervisor.respawn(
-                _worker_main, worker_id, args, dead.process, dead.conn)
-            dead.results.close()
-        # The worker holds the only sending end, so its death reads as EOF.
-        result_end.close()
-        return _WorkerSlot(process, conn, results)
-
-    def _respawn(self, worker_id: int) -> None:
-        self._slots[worker_id] = self._spawn(worker_id,
-                                             self._slots[worker_id])
+        self._supervisor = ProcessSupervisor(
+            _worker_main, lambda slot: (initializer, initargs), n_workers,
+            self._handle_result, budget=n_workers * (max_retries + 2),
+            exhausted=lambda budget: ParallelTaskError(
+                "workers keep dying faster than the pool may respawn "
+                f"them ({budget} respawns exhausted)"),
+            obs=self.obs)
 
     # ------------------------------------------------------------------
     def map_chunked(self, fn: Callable, items: Sequence, *,
@@ -408,88 +298,54 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _run(self, fn: Callable, chunks: List[List], timeout: Optional[float],
              ) -> Iterator[Tuple[int, List]]:
-        pending: deque = deque()
+        self._pending, self._completed = deque(), {}
         for index, chunk in enumerate(chunks):
             task = _Task(self._next_task_id, index, fn, chunk)
             self._next_task_id += 1
-            pending.append(task)
+            self._pending.append(task)
             self._active[task.task_id] = task
-        completed: Dict[int, List] = {}
         next_yield = 0
-        respawn_budget = self.n_workers * (self.max_retries + 2)
+        self._supervisor.refill()  # the respawn budget is per map
         try:
             while next_yield < len(chunks):
-                self._dispatch(pending)
-                self._drain_results(pending, completed)
-                respawn_budget = self._police_workers(
-                    pending, timeout, respawn_budget)
-                while next_yield in completed:
-                    yield next_yield, completed.pop(next_yield)
+                self._dispatch()
+                self._supervisor.drain(POLL_INTERVAL)
+                self._police_workers(timeout)
+                while next_yield in self._completed:
+                    yield next_yield, self._completed.pop(next_yield)
                     next_yield += 1
         finally:
             # Abandoned/errored maps leave nothing behind: forget tasks so
             # stale completions from still-running workers are discarded.
-            for task in pending:
+            for task in self._pending:
                 self._active.pop(task.task_id, None)
-            for task_id in [t for t in self._active
-                            if any(s.task_id == t for s in self._slots)]:
-                self._active.pop(task_id, None)
+            for assigned in self._assigned:
+                if assigned is not None:
+                    self._active.pop(assigned[0], None)
 
-    def _dispatch(self, pending: deque) -> None:
-        for slot in self._slots:
-            if not pending:
+    def _dispatch(self) -> None:
+        for slot in range(self.n_workers):
+            if not self._pending:
                 return
-            if slot.state != "idle":
+            if (self._assigned[slot] is not None
+                    or not self._supervisor.ready(slot)):
                 continue
-            task = pending.popleft()
+            task = self._pending.popleft()
             task.attempts += 1
-            try:
-                slot.conn.send((task.task_id, task.attempts, task.fn,
-                                task.chunk))
-            except (OSError, BrokenPipeError):
+            if not self._supervisor.send(
+                    slot, (task.task_id, task.attempts, task.fn, task.chunk)):
                 # Worker died between polls; put the task back, liveness
                 # policing will respawn the slot and charge the attempt.
                 task.attempts -= 1
-                pending.appendleft(task)
-                slot.state = "starting"
+                self._pending.appendleft(task)
                 continue
-            slot.state = "busy"
-            slot.task_id = task.task_id
-            slot.attempt = task.attempts
-            slot.dispatched_at = time.monotonic()
+            self._assigned[slot] = (task.task_id, time.monotonic())
 
-    def _drain_results(self, pending: deque, completed: Dict[int, List]) -> None:
-        """Handle every message waiting on the result pipes, blocking up to
-        one poll interval for the first."""
-        conns = [slot.results for slot in self._slots]
-        timeout = POLL_INTERVAL
-        while conns:
-            ready = wait(conns, timeout)
-            if not ready:
-                return
-            timeout = 0
-            for conn in ready:
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # The worker died (possibly mid-message); liveness
-                    # policing respawns it with a fresh pipe.
-                    conns.remove(conn)
-                    continue
-                self._handle_result(message, pending, completed)
-
-    def _handle_result(self, message: Tuple, pending: deque,
-                       completed: Dict[int, List]) -> None:
-        kind = message[0]
-        if kind == "ready":
-            _, worker_id, _pid = message
-            slot = self._slots[worker_id]
-            if slot.state == "starting":
-                slot.state = "idle"
-            return
-        if kind == "done":
-            _, worker_id, task_id, attempt, payload, exported = message
-            self._release_slot(worker_id, task_id)
+    def _handle_result(self, slot: int, _generation: int,
+                       message: Tuple) -> None:
+        if message[0] == "done":
+            _, task_id, attempt, payload, exported = message
+            self._release_slot(slot, task_id)
             task = self._active.get(task_id)
             if task is None or attempt != task.attempts:
                 # Stale: an earlier attempt of a retried task finished
@@ -500,10 +356,10 @@ class WorkerPool:
             try:
                 # Completed before its requeued retry was re-dispatched:
                 # drop the pending copy instead of running it again.
-                pending.remove(task)
+                self._pending.remove(task)
             except ValueError:
                 pass
-            completed[task.index] = payload
+            self._completed[task.index] = payload
             self.obs.registry.counter("parallel.tasks_completed").inc()
             if exported is not None:
                 # Keyed by stable task identity, not the per-attempt
@@ -515,50 +371,44 @@ class WorkerPool:
                     self.obs.registry.counter(
                         "parallel.snapshots_absorbed").inc()
             return
-        # kind == "error"
-        _, worker_id, task_id, attempt, trace_text = message
-        self._release_slot(worker_id, task_id)
+        # "error"
+        _, task_id, attempt, trace_text = message
+        self._release_slot(slot, task_id)
         task = self._active.get(task_id)
-        if task is None or attempt != task.attempts or task in pending:
+        if task is None or attempt != task.attempts or task in self._pending:
             return  # stale attempt, or the task is already requeued
         self.obs.registry.counter("parallel.task_errors").inc()
-        self._retry_or_fail(task, pending, trace_text)
+        self._retry_or_fail(task, trace_text)
 
-    def _release_slot(self, worker_id: int, task_id: int) -> None:
-        slot = self._slots[worker_id]
-        if slot.task_id == task_id:
-            slot.state = "idle"
-            slot.task_id = None
+    def _release_slot(self, slot: int, task_id: int) -> None:
+        assigned = self._assigned[slot]
+        if assigned is not None and assigned[0] == task_id:
+            self._assigned[slot] = None
 
-    def _police_workers(self, pending: deque, timeout: Optional[float],
-                        respawn_budget: int) -> int:
+    def _police_workers(self, timeout: Optional[float]) -> None:
         now = time.monotonic()
-        for worker_id, slot in enumerate(self._slots):
-            dead = not slot.process.is_alive()
-            timed_out = (slot.state == "busy" and timeout is not None
-                         and now - slot.dispatched_at > timeout)
+        for slot in range(self.n_workers):
+            assigned = self._assigned[slot]
+            dead = not self._supervisor.alive(slot)
+            timed_out = (assigned is not None and timeout is not None
+                         and now - assigned[1] > timeout)
             if not dead and not timed_out:
                 continue
             if timed_out and not dead:
                 self.obs.registry.counter("parallel.task_timeouts").inc()
-            task = self._active.get(slot.task_id) if slot.task_id is not None \
-                else None
-            if respawn_budget <= 0:
-                raise ParallelTaskError(
-                    "workers keep dying faster than the pool may respawn "
-                    f"them ({self.n_workers * (self.max_retries + 2)} "
-                    "respawns exhausted)")
-            self._respawn(worker_id)
-            respawn_budget -= 1
+            # Respawning harvests what the worker sent before it died, so a
+            # task whose result already arrived is released, not retried.
+            self._supervisor.respawn(slot)
+            assigned, self._assigned[slot] = self._assigned[slot], None
+            task = self._active.get(assigned[0]) if assigned else None
             if task is not None:
                 cause = "task timeout" if timed_out else "worker died"
-                self._retry_or_fail(task, pending, cause)
-        return respawn_budget
+                self._retry_or_fail(task, cause)
 
-    def _retry_or_fail(self, task: _Task, pending: deque, cause: str) -> None:
+    def _retry_or_fail(self, task: _Task, cause: str) -> None:
         if task.attempts <= self.max_retries:
             self.obs.registry.counter("parallel.task_retries").inc()
-            pending.appendleft(task)
+            self._pending.appendleft(task)
             return
         self._active.pop(task.task_id, None)
         raise ParallelTaskError(
@@ -572,23 +422,7 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        for slot in self._slots:
-            if slot.process.is_alive():
-                try:
-                    slot.conn.send(None)
-                except (OSError, BrokenPipeError):
-                    pass
-        deadline = time.monotonic() + 2.0
-        for slot in self._slots:
-            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(timeout=1.0)
-            for conn in (slot.conn, slot.results):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        self._supervisor.close()
         self._active.clear()
 
     def __enter__(self) -> "WorkerPool":

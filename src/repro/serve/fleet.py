@@ -17,13 +17,17 @@ prefix-cache entries stay hot where their traffic goes.  Replicas sharing a
 prompt prefix therefore reproduce the single-server prefix-cache behaviour
 (the byte-parity suite relies on this).
 
-Fault tolerance reuses :class:`~repro.parallel.pool.ProcessSupervisor` —
-the same spawn/kill/respawn machinery as :class:`~repro.parallel.WorkerPool`:
-liveness polling detects a dead replica, its in-flight requests are requeued
-at the front of the router (epoch-tagged events make anything the corpse
-already emitted inert, so no request is lost *or* double-answered), and a
-fresh replica is forked from the arena handle — respawn never re-publishes
-weights.
+Every replica's pipes belong to the
+:class:`~repro.parallel.supervisor.ProcessSupervisor` that
+:class:`~repro.parallel.WorkerPool` forks through too; this module keeps
+only the replica's messages.  The supervisor stamps each event with the
+replica slot and its spawn generation (the *epoch*).  Liveness polling
+detects a dead replica; respawn first harvests what it sent before dying
+(completions it finished are kept), then its remaining in-flight requests
+are requeued at the front of the router — a ``done`` counts only from the
+epoch the request is dispatched to, so no request is lost *or*
+double-answered — and a fresh replica is forked from the arena handle.
+Respawn never re-publishes weights.
 
 What a replica builds from the arena is described by a small picklable
 *source* object (:class:`ArenaWeightsSource` here;
@@ -49,11 +53,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-import pickle
 import time
 from collections import OrderedDict, deque
 from dataclasses import replace
-from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -61,7 +63,8 @@ import numpy as np
 from ..nn.transformer import TransformerConfig
 from ..obs import Observability
 from ..parallel.arena import ArenaHandle, TensorArena
-from ..parallel.pool import POLL_INTERVAL, ProcessSupervisor
+from ..parallel.pool import POLL_INTERVAL
+from ..parallel.supervisor import READY, ProcessSupervisor
 from .request import Completion, FinishReason, Request, RequestStatus, SamplingParams
 from .scheduler import ServeConfig
 
@@ -75,6 +78,10 @@ DRAFT_PREFIX = "fleet.draft"
 #: (one batch decoding plus one batch queued keeps admission snappy without
 #: piling a dead replica's worth of work behind one slow engine).
 INFLIGHT_FACTOR = 2
+
+#: Seconds the router blocks on replica events when an iteration moved
+#: nothing, instead of spinning while replicas decode.
+ROUTER_WAIT = 0.005
 
 
 class FleetError(RuntimeError):
@@ -207,9 +214,8 @@ def affinity_key(request: Request, prefix_tokens: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _replica_main(replica_id: int, conn, event_conn, handle: ArenaHandle,
-                  source, draft_source, serve_config: ServeConfig,
-                  eos_id: Optional[int], epoch: int) -> None:
+def _replica_main(conn, events, handle: ArenaHandle, source, draft_source,
+                  serve_config: ServeConfig, eos_id: Optional[int]) -> None:
     """One replica: attach the arena, build an engine, serve the pipes.
 
     ``source`` (and the optional ``draft_source``) describe how to turn the
@@ -217,71 +223,64 @@ def _replica_main(replica_id: int, conn, event_conn, handle: ArenaHandle,
     published state dict for a plain fleet, lazy merged-variant
     materialization for a λ-fleet.
 
-    Commands arrive on ``conn``; events leave on ``event_conn`` — a
-    *per-replica* pipe rather than a shared queue, deliberately: a replica
-    SIGKILLed mid-``Queue.put`` would leave the queue's feeder lock held and
-    deadlock the whole fleet, while a dead pipe just delivers EOF to the
-    parent.  Every outbound event is tagged ``(replica_id, epoch)`` so the
-    parent can discard anything emitted by an epoch it has already declared
-    dead.
+    Runs under :class:`~repro.parallel.supervisor.ProcessSupervisor`:
+    commands (``submit`` / ``cancel`` / ``metrics``, ``None`` to stop)
+    arrive on ``conn`` and events (``token`` / ``done`` / ``metrics``) leave
+    on ``events`` after the :data:`~repro.parallel.supervisor.READY`
+    handshake.  Events carry no replica id or epoch: the parent stamps
+    both from the channel they arrive on.
     """
     from ..nn.infer import InferenceEngine
     from .engine import BatchedEngine
     from .scheduler import Scheduler
 
-    try:
-        view = handle.attach()
-        model = source.materialize(view)
-        obs = Observability()
-        # In int8 mode the materialized tensors are already quantized
-        # (int8 + ``::scale`` vectors); the engine detects that and consumes
-        # them verbatim, so every replica serves the identical quantization.
-        engine = BatchedEngine(model, decode_mode=serve_config.decode_mode,
-                               max_batch_size=serve_config.max_batch_size,
-                               weight_mode=serve_config.weight_mode,
-                               kv_mode=serve_config.kv_mode,
-                               kv_block_tokens=serve_config.kv_block_tokens)
-        draft_engine = (InferenceEngine(draft_source.materialize(view))
-                        if draft_source is not None else None)
-        scheduler = Scheduler(engine, config=serve_config, eos_id=eos_id,
-                              obs=obs, draft_engine=draft_engine)
+    view = handle.attach()
+    model = source.materialize(view)
+    obs = Observability()
+    # In int8 mode the materialized tensors are already quantized (int8 +
+    # ``::scale`` vectors); the engine detects that and consumes them
+    # verbatim, so every replica serves the identical quantization.
+    engine = BatchedEngine(model, decode_mode=serve_config.decode_mode,
+                           max_batch_size=serve_config.max_batch_size,
+                           weight_mode=serve_config.weight_mode,
+                           kv_mode=serve_config.kv_mode,
+                           kv_block_tokens=serve_config.kv_block_tokens)
+    draft_engine = (InferenceEngine(draft_source.materialize(view))
+                    if draft_source is not None else None)
+    scheduler = Scheduler(engine, config=serve_config, eos_id=eos_id,
+                          obs=obs, draft_engine=draft_engine)
 
-        def on_token(request: Request, token: int, index: int) -> None:
-            event_conn.send(("token", replica_id, epoch, request.request_id,
-                             int(token), int(index)))
+    def on_token(request: Request, token: int, index: int) -> None:
+        events.send(("token", request.request_id, int(token), int(index)))
 
-        scheduler.on_token = on_token
-        event_conn.send(("ready", replica_id, epoch))
-        while True:
-            # Commands first (non-blocking while decoding, blocking-ish when
-            # idle so an idle replica doesn't spin a core).
-            while conn.poll(0 if not scheduler.idle else POLL_INTERVAL):
-                message = conn.recv()
-                kind = message[0]
-                if kind == "submit":
-                    _, request, deadline_remaining = message
-                    if deadline_remaining is not None:
-                        request = replace(
-                            request,
-                            deadline=time.monotonic() + deadline_remaining)
-                    scheduler.submit(request)
-                elif kind == "cancel":
-                    scheduler.cancel(message[1])
-                elif kind == "metrics":
-                    event_conn.send(("metrics", replica_id, epoch,
-                                     message[1], obs.registry.export(),
-                                     scheduler.accounting(),
-                                     engine.kv_stats()))
-                elif kind == "stop":
-                    return
-            if not scheduler.idle:
-                scheduler.step()
-            # Drain outside the step guard: a cancel landing between steps
-            # still owes the parent its terminal completion.
-            for completion in scheduler.drain_completions():
-                event_conn.send(("done", replica_id, epoch, completion))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # parent went away / teardown race: exit quietly
+    scheduler.on_token = on_token
+    events.send(READY)
+    while True:
+        # Commands first (non-blocking while decoding, blocking-ish when
+        # idle so an idle replica doesn't spin a core).
+        while conn.poll(0 if not scheduler.idle else POLL_INTERVAL):
+            message = conn.recv()
+            if message is None:
+                return
+            kind = message[0]
+            if kind == "submit":
+                _, request, deadline_remaining = message
+                if deadline_remaining is not None:
+                    request = replace(
+                        request,
+                        deadline=time.monotonic() + deadline_remaining)
+                scheduler.submit(request)
+            elif kind == "cancel":
+                scheduler.cancel(message[1])
+            elif kind == "metrics":
+                events.send(("metrics", message[1], obs.registry.export(),
+                             scheduler.accounting(), engine.kv_stats()))
+        if not scheduler.idle:
+            scheduler.step()
+        # Drain outside the step guard: a cancel landing between steps
+        # still owes the parent its terminal completion.
+        for completion in scheduler.drain_completions():
+            events.send(("done", completion))
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +289,14 @@ def _replica_main(replica_id: int, conn, event_conn, handle: ArenaHandle,
 
 
 class _Replica:
-    """Parent-side state of one replica slot."""
+    """Router-side state of one replica epoch (its channel is the
+    supervisor's)."""
 
-    __slots__ = ("replica_id", "process", "conn", "event_conn", "event_eof",
-                 "epoch", "ready", "inflight", "last_export",
-                 "last_accounting", "last_kv", "last_seq")
+    __slots__ = ("replica_id", "inflight", "last_export", "last_accounting",
+                 "last_kv", "last_seq")
 
-    def __init__(self, replica_id: int, process, conn, event_conn,
-                 epoch: int) -> None:
+    def __init__(self, replica_id: int) -> None:
         self.replica_id = replica_id
-        self.process = process
-        self.conn = conn
-        self.event_conn = event_conn
-        self.event_eof = False
-        self.epoch = epoch
-        self.ready = False
         self.inflight: Set[str] = set()
         self.last_export: Optional[Dict[str, object]] = None
         self.last_accounting: Optional[Dict[str, int]] = None
@@ -413,19 +405,14 @@ class FleetServer:
         self.max_inflight_per_replica = (
             max_inflight_per_replica if max_inflight_per_replica is not None
             else serve_config.max_batch_size * INFLIGHT_FACTOR)
-        self.poll_interval = 0.005
 
         self._arena = TensorArena()
         self._source = self._publish_model(model)
         self._draft_source = (self._publish_draft(draft_model)
                               if draft_model is not None else None)
         self._handle = self._arena.handle()
-        self._supervisor = ProcessSupervisor(
-            obs=self.obs, respawn_counter="serve.fleet.replica_respawns")
         self._ring = HashRing(range(n_replicas))
-        self._replicas: List[_Replica] = []
-        for replica_id in range(n_replicas):
-            self._replicas.append(self._spawn_replica(replica_id, epoch=0))
+        self._replicas = [_Replica(i) for i in range(n_replicas)]
 
         self.scheduler = _FleetScheduler(self)
         self._pending: deque = deque()  # routed but not yet dispatched
@@ -437,7 +424,6 @@ class FleetServer:
         self._seen_ids: Set[str] = set()
         self._ids = itertools.count()
         self._metrics_seq = 0
-        self._respawn_budget = n_replicas * 4
         self._closed = False
         self._counts = {"submitted": 0, "finished": 0, "expired": 0,
                         "cancelled": 0}
@@ -446,6 +432,13 @@ class FleetServer:
         self._requeue_counter = registry.counter("serve.fleet.requeued")
         self._stale_counter = registry.counter("serve.fleet.stale_events")
         registry.gauge("serve.fleet.replicas").set(n_replicas)
+        self._supervisor = ProcessSupervisor(
+            _replica_main, self._replica_args, n_replicas, self._handle_event,
+            budget=n_replicas * 4,
+            exhausted=lambda budget: FleetError(
+                "replicas keep dying faster than the fleet may respawn "
+                f"them ({budget} respawns exhausted)"),
+            obs=self.obs, respawn_counter="serve.fleet.replica_respawns")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -483,21 +476,9 @@ class FleetServer:
         the base fleet is homogeneous)."""
         return self._source
 
-    def _replica_args(self, replica_id: int, event_send, epoch: int) -> Tuple:
-        return (event_send, self._handle, self._source_for(replica_id),
-                self._draft_source, self.config, self.eos_id, epoch)
-
-    def _spawn_replica(self, replica_id: int, epoch: int) -> _Replica:
-        # The parent's copy of the event send end is closed immediately
-        # after the fork, so replica ``i`` holds the *only* write end of its
-        # event pipe — its death reliably EOFs the parent's read end, and no
-        # sibling forked later can keep the pipe artificially open.
-        event_recv, event_send = self._supervisor.ctx.Pipe(duplex=False)
-        process, conn = self._supervisor.spawn(
-            _replica_main, replica_id,
-            self._replica_args(replica_id, event_send, epoch))
-        event_send.close()
-        return _Replica(replica_id, process, conn, event_recv, epoch)
+    def _replica_args(self, replica_id: int) -> Tuple:
+        return (self._handle, self._source_for(replica_id),
+                self._draft_source, self.config, self.eos_id)
 
     def close(self) -> None:
         """Stop replicas, fold their final metrics in, free the arena."""
@@ -508,19 +489,9 @@ class FleetServer:
             self._collect_metrics(timeout=1.0)
         except Exception:
             pass
-        for rep in self._replicas:
-            self._absorb_replica(rep)
-            if rep.process.is_alive():
-                try:
-                    rep.conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-        for rep in self._replicas:
-            self._supervisor.terminate(rep.process, rep.conn)
-            try:
-                rep.event_conn.close()
-            except OSError:
-                pass
+        for rep, channel in zip(self._replicas, self._supervisor.channels):
+            self._absorb_replica(rep, channel.generation)
+        self._supervisor.close()
         self._arena.close()
 
     def __enter__(self) -> "FleetServer":
@@ -535,13 +506,12 @@ class FleetServer:
         except Exception:
             pass
 
-    def _absorb_replica(self, rep: _Replica) -> None:
+    def _absorb_replica(self, rep: _Replica, epoch: int) -> None:
         """Fold a replica epoch's last metric export into the parent
         registry, exactly once per (replica, epoch)."""
         if rep.last_export is not None:
             self.obs.registry.absorb(
-                rep.last_export,
-                key=f"serve.fleet.r{rep.replica_id}.e{rep.epoch}")
+                rep.last_export, key=f"serve.fleet.r{rep.replica_id}.e{epoch}")
 
     # ------------------------------------------------------------------
     # InProcessServer-mirror surface
@@ -643,12 +613,10 @@ class FleetServer:
                     self._submit_request(request)
         self._expire_pending()
         dispatched = self._dispatch()
-        handled = self._drain_events()
+        handled = self._supervisor.drain()
         self._police_replicas()
         if not dispatched and not handled and not self.idle:
-            # Nothing moved this iteration: wait briefly on the event queue
-            # instead of spinning while replicas decode.
-            self._drain_events(timeout=self.poll_interval)
+            self._supervisor.drain(ROUTER_WAIT)
 
     def _expire_pending(self) -> None:
         """Expire not-yet-dispatched requests on the parent clock (the same
@@ -678,58 +646,31 @@ class FleetServer:
         kept = deque()
         while self._pending:
             request = self._pending.popleft()
-            rep = self._replicas[self._route(request)]
-            if (not rep.ready or not rep.process.is_alive()
+            replica_id = self._route(request)
+            rep = self._replicas[replica_id]
+            if (not self._supervisor.ready(replica_id)
                     or len(rep.inflight) >= self.max_inflight_per_replica):
                 kept.append(request)
                 continue
             remaining = (request.deadline - self.clock()
                          if request.deadline is not None else None)
-            try:
-                rep.conn.send(("submit", request, remaining))
-            except (OSError, BrokenPipeError):
+            if not self._supervisor.send(replica_id,
+                                         ("submit", request, remaining)):
                 kept.append(request)  # policing will respawn and re-route
                 continue
             rep.inflight.add(request.request_id)
-            self._inflight[request.request_id] = (rep.replica_id, rep.epoch)
+            self._inflight[request.request_id] = (
+                replica_id, self._supervisor.channels[replica_id].generation)
             self._dispatch_counter.inc()
             dispatched += 1
         self._pending = kept
         return dispatched
 
-    def _drain_events(self, timeout: float = 0.0) -> int:
-        handled = 0
-        first = True
-        while True:
-            live = {rep.event_conn: rep for rep in self._replicas
-                    if not rep.event_eof}
-            if not live:
-                return handled
-            ready = _connection_wait(list(live), timeout if first else 0)
-            first = False
-            if not ready:
-                return handled
-            for event_conn in ready:
-                rep = live[event_conn]
-                try:
-                    message = event_conn.recv()
-                except (EOFError, OSError, pickle.UnpicklingError):
-                    # Replica died (possibly mid-write); liveness policing
-                    # requeues its work and respawns the slot.
-                    rep.event_eof = True
-                    continue
-                handled += 1
-                self._handle_event(message)
-
-    def _handle_event(self, message: Tuple) -> None:
+    def _handle_event(self, replica_id: int, epoch: int,
+                      message: Tuple) -> None:
         kind = message[0]
-        if kind == "ready":
-            _, replica_id, epoch = message
-            rep = self._replicas[replica_id]
-            if epoch == rep.epoch:
-                rep.ready = True
-        elif kind == "token":
-            _, replica_id, epoch, request_id, token, index = message
+        if kind == "token":
+            _, request_id, token, index = message
             if self._inflight.get(request_id) != (replica_id, epoch):
                 self._stale_counter.inc()
                 return
@@ -738,7 +679,7 @@ class FleetServer:
             if callback is not None and request is not None:
                 callback(request, token, index)
         elif kind == "done":
-            _, replica_id, epoch, completion = message
+            _, completion = message
             if self._inflight.get(completion.request_id) != (replica_id,
                                                              epoch):
                 self._stale_counter.inc()  # dead epoch, or already requeued
@@ -747,13 +688,9 @@ class FleetServer:
             self._replicas[replica_id].inflight.discard(completion.request_id)
             self._finish(completion)
         elif kind == "metrics":
-            _, replica_id, epoch, seq, export, accounting, kv_stats = message
             rep = self._replicas[replica_id]
-            if epoch == rep.epoch:
-                rep.last_export = export
-                rep.last_accounting = accounting
-                rep.last_kv = kv_stats
-                rep.last_seq = seq
+            (_, rep.last_seq, rep.last_export, rep.last_accounting,
+             rep.last_kv) = message
 
     def _finish(self, completion: Completion) -> None:
         self._requests.pop(completion.request_id, None)
@@ -766,54 +703,24 @@ class FleetServer:
         self._completions.append(completion)
 
     def _police_replicas(self) -> None:
-        """Liveness sweep: requeue a dead replica's work and respawn it."""
-        for rep in self._replicas:
-            if rep.process.is_alive() and not rep.event_eof:
+        """Liveness sweep: respawn a dead replica and requeue its work."""
+        for replica_id, rep in enumerate(self._replicas):
+            if self._supervisor.alive(replica_id):
                 continue
-            # Harvest everything the corpse managed to emit before dying —
-            # completions it finished must not be re-run.  The drain reads
-            # the dying pipe's buffered events through to its EOF.
-            self._drain_events()
-            self._respawn(rep)
-
-    def _respawn(self, rep: _Replica) -> None:
-        if self._respawn_budget <= 0:
-            raise FleetError(
-                f"replicas keep dying faster than the fleet may respawn "
-                f"them ({self.n_replicas * 4} respawns exhausted)")
-        self._respawn_budget -= 1
-        self._absorb_replica(rep)
-        # Requeue survivors at the front, preserving dispatch order; the
-        # epoch bump makes any event the dead epoch left in flight inert.
-        orphans = [request_id for request_id, (replica_id, epoch)
-                   in self._inflight.items()
-                   if (replica_id, epoch) == (rep.replica_id, rep.epoch)]
-        for request_id in reversed(orphans):
-            self._inflight.pop(request_id)
-            rep.inflight.discard(request_id)
-            self._pending.appendleft(self._requests[request_id])
-            self._requeue_counter.inc()
-        epoch = rep.epoch + 1
-        try:
-            rep.event_conn.close()
-        except OSError:
-            pass
-        event_recv, event_send = self._supervisor.ctx.Pipe(duplex=False)
-        process, conn = self._supervisor.respawn(
-            _replica_main, rep.replica_id,
-            self._replica_args(rep.replica_id, event_send, epoch),
-            rep.process, rep.conn)
-        event_send.close()
-        rep.process, rep.conn = process, conn
-        rep.event_conn = event_recv
-        rep.event_eof = False
-        rep.epoch = epoch
-        rep.ready = False
-        rep.last_export = None
-        rep.last_accounting = None
-        rep.last_kv = None
-        rep.last_seq = -1
-        rep.inflight.clear()
+            epoch = self._supervisor.channels[replica_id].generation
+            # Respawn first harvests everything the corpse sent before
+            # dying: completions it finished are kept, not re-run.
+            self._supervisor.respawn(replica_id)
+            self._absorb_replica(rep, epoch)
+            # Requeue survivors at the front, preserving dispatch order.
+            orphans = [request_id for request_id, owner
+                       in self._inflight.items()
+                       if owner == (replica_id, epoch)]
+            for request_id in reversed(orphans):
+                self._inflight.pop(request_id)
+                self._pending.appendleft(self._requests[request_id])
+                self._requeue_counter.inc()
+            self._replicas[replica_id] = _Replica(replica_id)
 
     def _cancel(self, request_id: str) -> bool:
         for i, request in enumerate(self._pending):
@@ -828,11 +735,9 @@ class FleetServer:
         assignment = self._inflight.get(request_id)
         if assignment is None:
             return False
-        rep = self._replicas[assignment[0]]
-        try:
-            rep.conn.send(("cancel", request_id))
-        except (OSError, BrokenPipeError):
-            pass  # replica is dying; policing requeues, caller may retry
+        # A failed send means the replica is dying: policing requeues the
+        # request and the caller may retry.
+        self._supervisor.send(assignment[0], ("cancel", request_id))
         return True
 
     def _drain_completions(self) -> List[Completion]:
@@ -856,17 +761,13 @@ class FleetServer:
         """Ask every live replica for a fresh registry export; wait (while
         still servicing token/done events) until all reply or time runs out."""
         self._metrics_seq += 1
-        waiting = set()
-        for rep in self._replicas:
-            if rep.process.is_alive() and rep.ready:
-                try:
-                    rep.conn.send(("metrics", self._metrics_seq))
-                    waiting.add(rep.replica_id)
-                except (OSError, BrokenPipeError):
-                    pass
+        waiting = {replica_id for replica_id in range(self.n_replicas)
+                   if self._supervisor.ready(replica_id)
+                   and self._supervisor.send(replica_id,
+                                             ("metrics", self._metrics_seq))}
         deadline = time.monotonic() + timeout
         while waiting and time.monotonic() < deadline:
-            self._drain_events(timeout=POLL_INTERVAL)
+            self._supervisor.drain(POLL_INTERVAL)
             waiting = {replica_id for replica_id in waiting
                        if self._replicas[replica_id].last_seq
                        < self._metrics_seq}
@@ -890,15 +791,15 @@ class FleetServer:
         # replicas; the aggregate is the fleet's total copy/shares bill.
         kv_totals = {"bytes_copied": 0, "blocks_shared": 0,
                      "bytes_reserved": 0, "bytes_in_use": 0}
-        for rep in self._replicas:
+        for rep, channel in zip(self._replicas, self._supervisor.channels):
             if rep.last_export is not None:
                 merged.absorb(rep.last_export, key=f"replica-{rep.replica_id}")
             if rep.last_kv is not None:
                 for key in kv_totals:
                     kv_totals[key] += int(rep.last_kv.get(key, 0))
             per_replica[str(rep.replica_id)] = {
-                "epoch": rep.epoch,
-                "alive": rep.process.is_alive(),
+                "epoch": channel.generation,
+                "alive": self._supervisor.alive(rep.replica_id),
                 "inflight": len(rep.inflight),
                 "accounting": rep.last_accounting,
                 "kv": rep.last_kv,

@@ -460,7 +460,7 @@ class LambdaFleetServer(FleetServer):
                 "spec": self.variant_specs[name].describe(),
                 "replicas": group,
                 "alive": sum(1 for rid in group
-                             if self._replicas[rid].process.is_alive()),
+                             if self._supervisor.alive(rid)),
                 "inflight": sum(len(self._replicas[rid].inflight)
                                 for rid in group),
                 "finished": int(self._variant_finished[name].value),

@@ -1,5 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -109,3 +113,38 @@ def numeric_grad(fn, x, eps=1e-6):
         flat[i] = orig
         gflat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def within(seconds, body):
+    """Run ``body()`` in a daemon thread and return its result, failing the
+    test if it has not finished after ``seconds``.
+
+    A guard for tests that kill or respawn child processes: a wedged pool or
+    fleet fails the one test instead of hanging the suite.  An exception
+    raised by ``body`` is re-raised here.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = body()
+        except BaseException as exc:  # re-raised in the test's thread
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), f"no progress within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+def kill_busiest_replica(fleet):
+    """SIGKILL the fleet replica with the most in-flight requests; returns
+    its router-side record."""
+    victim = max(fleet._replicas, key=lambda rep: len(rep.inflight))
+    assert victim.inflight, "kill must land mid-flight"
+    channel = fleet._supervisor.channels[victim.replica_id]
+    os.kill(channel.process.pid, signal.SIGKILL)
+    return victim

@@ -28,6 +28,7 @@ from repro.serve.lambda_fleet import (PLAN_PREFIX, LambdaFleetServer,
                                       LazyMergedModel, VariantSpec,
                                       materialize_variant)
 from repro.serve.request import Request
+from tests.conftest import kill_busiest_replica, within
 
 needs_fork = pytest.mark.skipif(not parallel_available(),
                                 reason="requires os.fork")
@@ -372,6 +373,38 @@ class TestLambdaFleetParity:
             got = {rid: fleet.result(rid).token_ids
                    for rid, *_ in requests}
         assert got == want
+
+    def test_sigkilled_variant_replica_rebuilds_from_the_plan(self, engine):
+        # Kill the busiest replica of a 2-variant x 1-replica fleet mid-run.
+        # Its respawn rebuilds the variant from the published plan (no
+        # re-publish), and the requeued requests replay byte-identically.
+        variants = VARIANTS[:2]
+        names = {spec.name for spec in variants}
+        requests = [r for r in _variant_requests(n=8, max_new_tokens=24)
+                    if r[3] in names]
+        want = _oracle_outputs(engine, requests)
+
+        def run():
+            with LambdaFleetServer(engine, CONFIG, variants,
+                                   serve_config=EXACT_CFG) as fleet:
+                plan_bytes = fleet.plan_bytes()
+                for rid, prompt, params, name in requests:
+                    fleet.submit(prompt, params=params, request_id=rid,
+                                 variant=name)
+                while not any(rep.inflight for rep in fleet._replicas):
+                    fleet.step()
+                kill_busiest_replica(fleet)
+                fleet.run_until_idle()
+                return ({rid: fleet.result(rid).token_ids
+                         for rid, *_ in requests}, fleet.accounting(),
+                        fleet.fleet_snapshot()["respawns"],
+                        (plan_bytes, fleet.plan_bytes()))
+
+        got, accounting, respawns, (before, after) = within(60, run)
+        assert got == want
+        assert accounting["conservation_ok"] == 1
+        assert respawns >= 1
+        assert after == before
 
     def test_memory_stays_near_one_model(self, engine, chip):
         model_bytes = sum(v.nbytes for v in chip.state_dict().values())

@@ -10,7 +10,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import threading
 import time
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.parallel import (ALIGN, CHILD_BLAS_THREADS, ArenaHandle,
                             blas_threads, effective_workers,
                             get_task_context, parallel_available,
                             task_context, task_obs, worker_obs)
+from tests.conftest import within
 
 needs_fork = pytest.mark.skipif(not parallel_available(),
                                 reason="requires os.fork")
@@ -167,13 +167,20 @@ def _kill_first_attempt_of_every_fourth(x):
     return x * x
 
 
-def _forge_results(pool, worker_id=0):
-    """Swap a worker's result pipe for one the test writes wire messages
-    to; returns the sending end."""
+def _forge_events(pool, slot=0):
+    """Swap a worker's event pipe in the pool's supervisor for one the test
+    writes wire messages to; returns the sending end."""
     recv_end, send_end = multiprocessing.get_context("fork").Pipe(
         duplex=False)
-    pool._slots[worker_id].results = recv_end
+    channel = pool._supervisor.channels[slot]
+    channel.events.close()
+    channel.events = recv_end
     return send_end
+
+
+def _attach_then_sigkill(handle):
+    handle.attach()
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _count_then_kill_first_attempt(x):
@@ -289,11 +296,12 @@ class TestWorkerPool:
             task = _Task(task_id=0, index=0, fn=_square, chunk=[3])
             task.attempts = 2  # a retry is the live attempt
             pool._active[0] = task
-            forge = _forge_results(pool)
-            forge.send(("done", 0, 0, 1, ["stale"], export_with(100)))
-            forge.send(("done", 0, 0, 2, ["live"], export_with(1)))
-            completed = {}
-            pool._drain_results(deque(), completed)
+            forge = _forge_events(pool)
+            forge.send(("done", 0, 1, ["stale"], export_with(100)))
+            forge.send(("done", 0, 2, ["live"], export_with(1)))
+            pool._pending = deque()
+            completed = pool._completed
+            pool._supervisor.drain()
             assert completed == {0: ["live"]}
             assert obs.registry.snapshot()["t.regress"] == 1
 
@@ -311,12 +319,42 @@ class TestWorkerPool:
             task = _Task(task_id=0, index=0, fn=_square, chunk=[2])
             task.attempts = 1
             pool._active[0] = task
-            pending = deque([task])
-            _forge_results(pool).send(("done", 0, 0, 1, [4], None))
-            completed = {}
-            pool._drain_results(pending, completed)
+            pool._pending = pending = deque([task])
+            _forge_events(pool).send(("done", 0, 1, [4], None))
+            completed = pool._completed
+            pool._supervisor.drain()
             assert completed == {0: [4]}
             assert len(pending) == 0  # not re-dispatched after completing
+
+    def test_done_sent_just_before_sigkill_is_accepted_not_retried(self):
+        # Regression: a worker sends its task's done and is SIGKILLed before
+        # the next liveness sweep.  Respawn must read the corpse's channel
+        # to EOF first: the result is accepted, nothing is requeued, and a
+        # pool without retries does not fail a task that finished.
+        from repro.parallel.pool import _Task
+
+        def police():
+            obs = Observability()
+            with WorkerPool(1, max_retries=0, obs=obs) as pool:
+                task = _Task(task_id=0, index=0, fn=_square, chunk=[5])
+                task.attempts = 1
+                pool._active[0] = task
+                pool._assigned[0] = (0, time.monotonic())  # busy with it
+                forge = _forge_events(pool)
+                forge.send(("done", 0, 1, [25], None))
+                forge.close()  # the dead worker held the only write end
+                victim = pool._supervisor.channels[0].process
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join()
+                pool._police_workers(timeout=None)
+                return pool._completed, list(pool._pending), obs
+
+        completed, pending, obs = within(30, police)
+        assert completed == {0: [25]}
+        assert pending == []
+        snap = obs.registry.snapshot()
+        assert snap["parallel.worker_respawns"] == 1
+        assert "parallel.task_retries" not in snap
 
     def test_kill_mid_task_counts_each_item_exactly_once(self, tmp_path):
         # Conservation across SIGKILL + retry: the killed attempt's partial
@@ -325,10 +363,14 @@ class TestWorkerPool:
         # though the victim chunk ran (partially) twice.
         obs = Observability()
         items = list(range(12))
-        with task_context(victim=5, flag=str(tmp_path / "killed")):
-            with WorkerPool(3, obs=obs) as pool:
-                results = pool.map_chunked(_count_then_kill_first_attempt,
-                                           items, chunk_size=2)
+
+        def run():
+            with task_context(victim=5, flag=str(tmp_path / "killed")):
+                with WorkerPool(3, obs=obs) as pool:
+                    return pool.map_chunked(_count_then_kill_first_attempt,
+                                            items, chunk_size=2)
+
+        results = within(60, run)
         assert results == [x * x for x in items]
         snap = obs.registry.snapshot()
         assert snap["parallel.worker_respawns"] >= 1
@@ -337,10 +379,14 @@ class TestWorkerPool:
     def test_killed_worker_is_respawned_and_task_retried(self, tmp_path):
         obs = Observability()
         items = list(range(12))
-        with task_context(victim=7, flag=str(tmp_path / "killed")):
-            with WorkerPool(3, obs=obs) as pool:
-                results = pool.map_chunked(_kill_first_attempt, items,
-                                           chunk_size=2)
+
+        def run():
+            with task_context(victim=7, flag=str(tmp_path / "killed")):
+                with WorkerPool(3, obs=obs) as pool:
+                    return pool.map_chunked(_kill_first_attempt, items,
+                                            chunk_size=2)
+
+        results = within(60, run)
         assert results == [x * x for x in items]
         assert (tmp_path / "killed").exists()
         snap = obs.registry.snapshot()
@@ -354,35 +400,55 @@ class TestWorkerPool:
         # pipe, and the map then hung (in 2-5 of 10 runs on 2 vCPUs).
         obs = Observability()
         items = list(range(48))
-        outcome = {}
 
         def run():
             with task_context(flags=str(tmp_path)):
                 with WorkerPool(4, obs=obs) as pool:
-                    outcome["results"] = pool.map_chunked(
+                    return pool.map_chunked(
                         _kill_first_attempt_of_every_fourth, items,
                         chunk_size=2)
 
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive(), "the pool stopped making progress"
-        assert outcome["results"] == [x * x for x in items]
+        results = within(60, run)
+        assert results == [x * x for x in items]
         assert obs.registry.snapshot()["parallel.worker_respawns"] >= 12
 
     def test_timeout_kills_worker_and_fails_fast(self):
         obs = Observability()
         started = time.monotonic()
-        with WorkerPool(2, task_timeout=0.4, max_retries=0, obs=obs) as pool:
-            with pytest.raises(ParallelTaskError) as err:
+
+        def run():
+            with WorkerPool(2, task_timeout=0.4, max_retries=0,
+                            obs=obs) as pool:
                 pool.map_chunked(_sleep_long, [1])
+
+        with pytest.raises(ParallelTaskError) as err:
+            within(30, run)
         assert time.monotonic() - started < 10.0
         assert "timeout" in err.value.cause
         assert obs.registry.snapshot()["parallel.task_timeouts"] >= 1
 
+    def test_workers_dying_at_startup_exhaust_the_respawn_budget(self):
+        # Every worker SIGKILLs itself in its initializer, so no task can
+        # ever run: the per-map respawn budget must end the map in a typed
+        # error, and closing must leave no shared-memory segment behind.
+        obs = Observability()
+
+        def run():
+            with TensorArena() as arena:
+                arena.publish("t", np.ones(4))
+                with WorkerPool(2, initializer=_attach_then_sigkill,
+                                initargs=(arena.handle(),), max_retries=0,
+                                obs=obs) as pool:
+                    pool.map_chunked(_square, [1, 2, 3])
+
+        with pytest.raises(ParallelTaskError, match="workers keep dying"):
+            within(30, run)
+        assert TensorArena.live_segments() == []
+        assert obs.registry.snapshot()["parallel.worker_respawns"] == 2 * 2
+
     def test_close_terminates_all_workers(self):
         pool = WorkerPool(3)
-        processes = [slot.process for slot in pool._slots]
+        processes = [channel.process for channel in pool._supervisor.channels]
         pool.close()
         pool.close()  # idempotent
         assert all(not p.is_alive() for p in processes)

@@ -9,7 +9,6 @@ a shared-memory segment.
 """
 
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -18,9 +17,10 @@ from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.obs import Observability
 from repro.parallel import TensorArena, parallel_available
 from repro.serve import InProcessServer, SamplingParams, ServeConfig
-from repro.serve.fleet import (FleetServer, HashRing, affinity_key)
+from repro.serve.fleet import FleetError, FleetServer, HashRing, affinity_key
 from repro.serve.net import NetClient, NetServerConfig, NetServerThread
 from repro.serve.request import Request
+from tests.conftest import kill_busiest_replica, within
 
 needs_fork = pytest.mark.skipif(not parallel_available(),
                                 reason="requires os.fork")
@@ -231,25 +231,39 @@ class TestFleetParity:
         assert merged["counters"].get("serve.cached_prefix_tokens", 0) > 0
 
 
+class _StillbornSource:
+    """A replica model source whose replica exits before it is ready."""
+
+    def materialize(self, view):
+        os._exit(3)
+
+
+class _StillbornFleet(FleetServer):
+    def _source_for(self, replica_id):
+        return _StillbornSource()
+
+
 @needs_fork
 class TestFleetFaults:
     def test_sigkilled_replica_respawns_and_no_request_is_lost(self, model):
         requests = _mixed_requests(n=12, max_new_tokens=16, seed_base=200)
         want = _single_server_outputs(model, requests)
-        with FleetServer(model, n_replicas=3, serve_config=EXACT_CFG) as fleet:
-            for request in requests:
-                fleet.submit(request.prompt_ids, params=request.params,
-                             request_id=request.request_id)
-            for _ in range(4):
-                fleet.step()
-            victim = max(fleet._replicas, key=lambda rep: len(rep.inflight))
-            assert victim.inflight, "kill must land mid-flight"
-            os.kill(victim.process.pid, signal.SIGKILL)
-            fleet.run_until_idle()
-            results = {r.request_id: fleet.result(r.request_id)
-                       for r in requests}
-            accounting = fleet.accounting()
-            snapshot = fleet.fleet_snapshot()
+
+        def run():
+            with FleetServer(model, n_replicas=3,
+                             serve_config=EXACT_CFG) as fleet:
+                for request in requests:
+                    fleet.submit(request.prompt_ids, params=request.params,
+                                 request_id=request.request_id)
+                for _ in range(4):
+                    fleet.step()
+                kill_busiest_replica(fleet)
+                fleet.run_until_idle()
+                return ({r.request_id: fleet.result(r.request_id)
+                         for r in requests},
+                        fleet.accounting(), fleet.fleet_snapshot())
+
+        results, accounting, snapshot = within(60, run)
         # Conservation: every request exactly one terminal outcome.
         assert accounting["conservation_ok"] == 1
         assert accounting["finished"] == len(requests)
@@ -260,6 +274,21 @@ class TestFleetFaults:
         # the requeued requests to byte-identical outputs.
         got = {rid: c.token_ids for rid, c in results.items()}
         assert got == want
+
+    def test_replicas_dying_at_startup_exhaust_the_respawn_budget(self, model):
+        # No replica ever becomes ready: the fleet's lifetime respawn budget
+        # must end the run in a typed error, not a hang, and closing must
+        # free the arena.
+        def run():
+            with _StillbornFleet(model, n_replicas=1,
+                                 serve_config=EXACT_CFG) as fleet:
+                fleet.submit((1, 2, 3),
+                             params=SamplingParams(max_new_tokens=2))
+                fleet.run_until_idle()
+
+        with pytest.raises(FleetError, match="replicas keep dying"):
+            within(30, run)
+        assert TensorArena.live_segments() == []
 
     def test_duplicate_request_id_rejected(self, model):
         with FleetServer(model, n_replicas=1, serve_config=EXACT_CFG) as fleet:

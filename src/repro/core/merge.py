@@ -25,11 +25,16 @@ from ..nn.transformer import TransformerLM
 StateDict = Dict[str, np.ndarray]
 
 
-def validate_conformable(chip: StateDict, instruct: StateDict) -> None:
-    """Raise if the two state dicts cannot be merged (paper's conformability assumption)."""
+def validate_keys(chip: StateDict, instruct: StateDict) -> None:
+    """Raise ``KeyError`` unless both state dicts name the same tensors."""
     missing = sorted(set(chip) ^ set(instruct))
     if missing:
         raise KeyError(f"state dicts have non-matching keys: {missing}")
+
+
+def validate_conformable(chip: StateDict, instruct: StateDict) -> None:
+    """Raise if the two state dicts cannot be merged (paper's conformability assumption)."""
+    validate_keys(chip, instruct)
     for key in chip:
         a, b = np.asarray(chip[key]), np.asarray(instruct[key])
         if a.shape != b.shape:
@@ -90,7 +95,7 @@ class ChipAlignMerger:
                 f"{chip_model.config} vs {instruct_model.config}"
             )
         merged = TransformerLM(chip_model.config)
-        merged.load_state_dict(self.merge(chip_model.state_dict(),
-                                          instruct_model.state_dict()))
+        merged.load_state_dict(self.merge(chip_model.parameter_arrays(),
+                                          instruct_model.parameter_arrays()))
         merged.eval()
         return merged

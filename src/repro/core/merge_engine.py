@@ -38,7 +38,11 @@ points and streams merged models back in λ order.  Serial ``isweep`` can
 instead reuse one set of preallocated output buffers across λ points to
 cap peak memory at a single merged model.
 
-Residency: the plan is the one resident copy of the pair.  Float32 rows
+Residency: the plan is the one resident copy of the pair.  Planning reads
+any pair of state-dict mappings one tensor pair at a time — two models'
+``parameter_arrays()``, or two open ``.npz`` checkpoints, which is how
+:meth:`~repro.pipelines.model_zoo.ModelZoo.merge_engine` plans without
+building either model.  Float32 rows
 upcast to float64 exactly (:attr:`TensorPlan.stacked64`), so every GEMM
 sees the same float64 operands whichever width the rows are stored at, and
 for float32 models the plan costs 2x one model instead of 4x.  ``merge``
@@ -310,8 +314,8 @@ class MergePlan:
         return cls(tensors)
 
 
-def _plan_tensor(key: str, w_chip: np.ndarray, w_instruct: np.ndarray) -> TensorPlan:
-    """Classify one tensor pair and precompute its geometry.
+def _plan_tensor(key: str, chip: np.ndarray, instruct: np.ndarray) -> TensorPlan:
+    """Classify one same-shape tensor pair and precompute its geometry.
 
     Copies the pair into its ``(2, n)`` stacked matrix — float32 when
     float32 represents both tensors exactly, since float32 → float64 is
@@ -319,10 +323,6 @@ def _plan_tensor(key: str, w_chip: np.ndarray, w_instruct: np.ndarray) -> Tensor
     dot products on the float64 rows (one transient tensor pair, no
     unit-tensor copies), so planning costs *less* than one naive merge.
     """
-    chip = np.asarray(w_chip)
-    instruct = np.asarray(w_instruct)
-    if chip.shape != instruct.shape:
-        raise ValueError(f"shape mismatch for {key!r}: {chip.shape} vs {instruct.shape}")
     shape = chip.shape
     narrow = (np.can_cast(chip.dtype, np.float32)
               and np.can_cast(instruct.dtype, np.float32))
@@ -402,21 +402,18 @@ def _merge_point(lam: float) -> "OrderedDict[str, np.ndarray]":
     return merged
 
 
-def parameter_arrays(model) -> "OrderedDict[str, np.ndarray]":
-    """A model's own parameter arrays by state-dict name (no copies): the
-    planning input of :meth:`GeodesicMergeEngine.from_models`, and the
-    ``out`` buffers that merge straight into a model's weights."""
-    return OrderedDict((name, param.data)
-                       for name, param in model.named_parameters())
-
-
 class GeodesicMergeEngine:
     """Reusable ChipAlign merger for one (chip, instruct) model pair.
 
     Parameters
     ----------
     chip, instruct:
-        Conformable state dicts (same keys, same shapes).
+        Conformable state-dict mappings (same keys, same shapes).  Each
+        tensor pair is read once, in ``chip``'s key order, and copied into
+        the plan's rows, so any mapping serves: a model's
+        :meth:`~repro.nn.module.Module.parameter_arrays`, or an open
+        ``.npz`` archive (:class:`numpy.lib.npyio.NpzFile`), which reads
+        one tensor pair at a time off disk.
     exclude:
         fnmatch patterns; matching tensors are copied from ``chip`` unmerged
         (mirrors :func:`~repro.core.merge.merge_state_dicts`).
@@ -445,21 +442,25 @@ class GeodesicMergeEngine:
                  exclude: Sequence[str] = (),
                  n_workers: Optional[int] = None,
                  obs: Optional[Observability] = None) -> None:
-        from .merge import validate_conformable
+        from .merge import validate_keys
 
-        validate_conformable(chip, instruct)
+        validate_keys(chip, instruct)
         self.exclude = tuple(exclude)
         self.n_workers = n_workers
         self.obs = obs if obs is not None else Observability()
         tensors: "OrderedDict[str, TensorPlan]" = OrderedDict()
         with self.obs.span("merge.plan", tensors=len(chip)):
             for key in chip:
+                w_chip = np.asarray(chip[key])
+                w_instruct = np.asarray(instruct[key])
+                if w_chip.shape != w_instruct.shape:
+                    raise ValueError(f"tensor {key!r} has mismatched shapes: "
+                                     f"{w_chip.shape} vs {w_instruct.shape}")
                 if any(fnmatch.fnmatch(key, pattern) for pattern in self.exclude):
-                    raw = np.asarray(chip[key])
-                    tensors[key] = TensorPlan(key, KIND_EXCLUDED, raw.shape,
-                                              raw_chip=np.array(raw, copy=True))
+                    tensors[key] = TensorPlan(key, KIND_EXCLUDED, w_chip.shape,
+                                              raw_chip=np.array(w_chip, copy=True))
                 else:
-                    tensors[key] = _plan_tensor(key, chip[key], instruct[key])
+                    tensors[key] = _plan_tensor(key, w_chip, w_instruct)
         self.plan = MergePlan(tensors)
         self._arena = None
         self._arena_metas: Optional[List[Tuple]] = None
@@ -529,8 +530,8 @@ class GeodesicMergeEngine:
             raise ValueError(
                 "models must share an architecture: "
                 f"{chip_model.config} vs {instruct_model.config}")
-        return cls(parameter_arrays(chip_model),
-                   parameter_arrays(instruct_model), **kwargs)
+        return cls(chip_model.parameter_arrays(),
+                   instruct_model.parameter_arrays(), **kwargs)
 
     @staticmethod
     def _check_lam(lam: float) -> float:

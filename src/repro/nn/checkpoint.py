@@ -3,6 +3,13 @@
 State dicts are saved as ``.npz`` archives plus a JSON sidecar holding the
 model configuration, so a checkpoint is self-describing and can be reloaded
 without knowing the architecture in advance.
+
+Neither direction stages a whole-model copy: :func:`save_model` writes the
+parameters' own arrays, and :func:`load_model` streams the open archive
+into ``load_state_dict`` one tensor at a time.  :func:`read_sidecar` reads
+the sidecar alone, and :func:`open_weights` hands out the archive as a
+lazy name → array mapping, so a caller that needs the configuration or
+one tensor at a time (merge planning) never builds the model.
 """
 
 from __future__ import annotations
@@ -33,19 +40,33 @@ def load_state_dict(path) -> "OrderedDict[str, np.ndarray]":
 def save_model(model: TransformerLM, path, metadata: Optional[dict] = None) -> None:
     """Save a model's weights (``<path>.npz``) and config (``<path>.json``)."""
     path = Path(path)
-    save_state_dict(model.state_dict(), path.with_suffix(".npz"))
+    save_state_dict(model.parameter_arrays(), path.with_suffix(".npz"))
     payload = {"config": model.config.to_dict(), "metadata": metadata or {}}
     path.with_suffix(".json").write_text(json.dumps(payload, indent=2))
 
 
+def read_sidecar(path) -> Tuple[TransformerConfig, dict]:
+    """``(config, metadata)`` of a checkpoint saved by :func:`save_model`,
+    read from its JSON sidecar without touching the weights."""
+    payload = json.loads(Path(path).with_suffix(".json").read_text())
+    return (TransformerConfig.from_dict(payload["config"]),
+            payload.get("metadata", {}))
+
+
+def open_weights(path) -> np.lib.npyio.NpzFile:
+    """The checkpoint's weight archive as a lazy name → array mapping:
+    each lookup reads one tensor.  Close it (or use it as a context
+    manager) when done."""
+    return np.load(Path(path).with_suffix(".npz"))
+
+
 def load_model(path) -> Tuple[TransformerLM, dict]:
     """Load a model saved by :func:`save_model`; returns ``(model, metadata)``."""
-    path = Path(path)
-    payload = json.loads(path.with_suffix(".json").read_text())
-    config = TransformerConfig.from_dict(payload["config"])
+    config, metadata = read_sidecar(path)
     model = TransformerLM(config)
-    model.load_state_dict(load_state_dict(path.with_suffix(".npz")))
-    return model, payload.get("metadata", {})
+    with open_weights(path) as archive:
+        model.load_state_dict(archive)
+    return model, metadata
 
 
 def checkpoint_exists(path) -> bool:

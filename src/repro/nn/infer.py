@@ -2,9 +2,9 @@
 
 The autograd :class:`~repro.nn.transformer.TransformerLM` recomputes the
 whole prefix for every generated token.  :class:`InferenceEngine` reads the
-model's weights once and runs a pure-numpy forward pass with per-layer
-key/value caching, so each new token costs one incremental step — a ~20×
-speed-up that the benchmark harness and examples rely on.
+model's weight arrays in place and runs a pure-numpy forward pass with
+per-layer key/value caching, so each new token costs one incremental step —
+a ~20× speed-up that the benchmark harness and examples rely on.
 
 The engine is validated against the autograd model in the test suite: both
 paths produce identical logits (up to float tolerance) for the same weights.
@@ -204,10 +204,16 @@ class _Unpacked:
 class InferenceEngine:
     """Incremental decoder over a trained :class:`TransformerLM`.
 
-    Weights are snapshotted at construction; mutate-and-rebuild if the model
-    changes.  The engine processes one sequence at a time (the evaluation
-    protocol is greedy single-sequence decoding, like the paper's
-    temperature-0 setting).
+    The engine reads the model's own weight arrays — whatever
+    ``model.parameter_arrays()`` returns (a :class:`TransformerLM`'s
+    parameters, or the arena views of a fleet replica's model) — and
+    holds no copy of its own, so serving a model costs no second model.
+    The contract that buys: :meth:`~repro.nn.module.Module.load_state_dict`
+    replaces the arrays, so rebuild the engine after loading new weights;
+    and an optimizer step writes into them, so never train a model in
+    place while one of its engines is live.  The engine processes one
+    sequence at a time (the evaluation protocol is greedy single-sequence
+    decoding, like the paper's temperature-0 setting).
     """
 
     def __init__(self, model: TransformerLM) -> None:
@@ -217,7 +223,7 @@ class InferenceEngine:
         self.config = config
         self.n_heads = config.n_heads
         self.head_dim = config.dim // config.n_heads
-        state = model.state_dict()
+        state = model.parameter_arrays()
         self.tok_emb = state["tok_emb.weight"]
         self.final_norm = state["final_norm.weight"]
         self.lm_head = state["lm_head.weight"]

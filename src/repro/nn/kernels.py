@@ -803,7 +803,9 @@ def quantize_state_dict(state: dict) -> dict:
 
     Each quantized entry ``name`` becomes an int8 array plus a companion
     ``name + "::scale"`` float vector; norms (1-D) and the token embedding
-    pass through untouched.  The result is what the fleet publishes to the
+    pass through as copies, so the result never aliases ``state`` — an int8
+    engine owns its weights even when handed a model's live parameter
+    arrays.  The result is what the fleet publishes to the
     shared-memory arena — roughly a quarter of the fp32 footprint — and
     what :class:`~repro.serve.engine.BatchedEngine` consumes directly in
     int8 mode, so replicas never re-quantize (re-quantization is exact,
@@ -819,7 +821,7 @@ def quantize_state_dict(state: dict) -> dict:
             out[name] = q
             out[name + INT8_SCALE_SUFFIX] = scales
         else:
-            out[name] = tensor
+            out[name] = np.array(tensor, copy=True)
     return out
 
 

@@ -96,6 +96,18 @@ class Module:
         """Return a flat name → numpy array copy of all weights."""
         return OrderedDict((name, p.data.copy()) for name, p in self.named_parameters())
 
+    def parameter_arrays(self) -> "OrderedDict[str, np.ndarray]":
+        """The parameters' own arrays by state-dict name (no copies).
+
+        The read-only counterpart of :meth:`state_dict` for readers that
+        must not double the model's footprint — inference engines, merge
+        planning, checkpoint writes — and the ``out`` buffers a merge
+        writes straight into.  The arrays stay live: an optimizer step
+        (``p.data -= ...``) shows through them, while
+        :meth:`load_state_dict` replaces them.
+        """
+        return OrderedDict((name, p.data) for name, p in self.named_parameters())
+
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
         """Load weights from a flat name → array mapping.
 

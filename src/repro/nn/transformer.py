@@ -208,5 +208,5 @@ class TransformerLM(Module):
     def clone(self) -> "TransformerLM":
         """Return a structurally identical model with copied weights."""
         other = TransformerLM(self.config)
-        other.load_state_dict(self.state_dict())
+        other.load_state_dict(self.parameter_arrays())  # copies on load
         return other

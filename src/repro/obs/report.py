@@ -55,8 +55,9 @@ def run_obs_flow(obs: Optional[Observability] = None, epochs: int = 4,
                 vocab_size=24, dim=16, n_layers=2, n_heads=2, max_seq_len=48,
                 seed=seed + 1)
             instruct = TransformerLM(instruct_config)
-            engine = GeodesicMergeEngine(chip.state_dict(),
-                                         instruct.state_dict(), obs=obs)
+            # Not from_models: its config check refuses differing seeds.
+            engine = GeodesicMergeEngine(chip.parameter_arrays(),
+                                         instruct.parameter_arrays(), obs=obs)
             merged_sd = engine.merge(lam)
             merged = TransformerLM(config)
             merged.load_state_dict(dict(merged_sd))

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import merge_engine as merge_engine_mod
-from ..core.merge_engine import GeodesicMergeEngine, parameter_arrays
+from ..core.merge_engine import GeodesicMergeEngine
 from ..core.registry import merge as registry_merge
 from ..data import (eda_domain, industrial_qa, openroad_qa)
 from ..data.corpus import pretraining_sentences
@@ -38,10 +38,11 @@ from ..data.instruction_data import (counterfactual_grounded_samples,
                                      multi_turn_general_samples)
 from ..data.prompting import format_prompt
 from ..data.vocab import build_tokenizer
-from ..nn.checkpoint import checkpoint_exists, load_model, save_model
+from ..nn.checkpoint import (checkpoint_exists, load_model, open_weights,
+                             read_sidecar, save_model)
 from ..nn.tokenizer import WordTokenizer
 from ..nn.trainer import TrainConfig
-from ..nn.transformer import TransformerLM, preset_config
+from ..nn.transformer import TransformerConfig, TransformerLM, preset_config
 from .daft import daft_lora, pretrain, sft, sft_lora, triplet_pairs
 
 #: Bump to invalidate every cached checkpoint when a recipe changes.
@@ -226,18 +227,39 @@ class ModelZoo:
         """The family's chip-domain model (eda or chipnemo)."""
         return self.get(family, CHIP_VARIANT[family])
 
+    def _checkpoint(self, family: str, variant: str) -> Path:
+        """Path of a variant's checkpoint, building the variant first if
+        the cache lacks it (:meth:`get` saves every model it builds)."""
+        path = self._ckpt_path(family, variant)
+        if not checkpoint_exists(path):
+            self.get(family, variant)
+        return path
+
+    def _config(self, family: str) -> TransformerConfig:
+        """The family's architecture, read from the chip checkpoint's JSON
+        sidecar — no model is loaded for it."""
+        return read_sidecar(self._checkpoint(family, CHIP_VARIANT[family]))[0]
+
     def merge_engine(self, family: str) -> GeodesicMergeEngine:
         """The family's (chip, instruct) :class:`GeodesicMergeEngine`.
 
         Built once per family and cached: the plan (sphere projections,
         norms, angles Θ) is λ-independent, so every subsequent geodesic
         merge of the pair — any λ, schedule, or sweep — is only cheap
-        coefficient math plus one fused scale-add per tensor.
+        coefficient math plus one fused scale-add per tensor.  The plan
+        reads the pair straight from the two checkpoint archives, one
+        tensor pair at a time, so neither source model is built for it:
+        the plan's rows are the one resident copy of the pair.
         """
         if family not in self._engines:
-            chip = self.chip_model(family)
-            instruct = self.get(family, "instruct")
-            self._engines[family] = GeodesicMergeEngine.from_models(chip, instruct)
+            chip = self._checkpoint(family, CHIP_VARIANT[family])
+            instruct = self._checkpoint(family, "instruct")
+            if read_sidecar(chip)[0] != read_sidecar(instruct)[0]:
+                raise ValueError(f"{family} chip and instruct checkpoints "
+                                 "have different architectures")
+            with open_weights(chip) as w_chip, \
+                    open_weights(instruct) as w_instruct:
+                self._engines[family] = GeodesicMergeEngine(w_chip, w_instruct)
         return self._engines[family]
 
     @staticmethod
@@ -261,22 +283,22 @@ class ModelZoo:
         memo-cached in memory only.  Plain-λ chipalign merges reuse the
         family's cached :meth:`merge_engine` plan instead of re-projecting,
         and write each merged tensor straight into the new model's
-        parameter — no float64 state dict is ever built.
+        parameter — no float64 state dict is ever built.  Other methods
+        read the chip, instruct and base models' parameter arrays in place
+        (every registry method leaves its inputs untouched).
         """
         key = self._merged_key(family, method, kwargs)
         if key in self._models:
             return self._models[key]
-        chip = self.chip_model(family)
-        model = TransformerLM(chip.config)
+        model = TransformerLM(self._config(family))
         if method == "chipalign" and set(kwargs) <= {"lam"}:
             self.merge_engine(family).merge(kwargs.get("lam", 0.6),
-                                            out=parameter_arrays(model))
+                                            out=model.parameter_arrays())
         else:
-            instruct = self.get(family, "instruct")
-            base = self.get(family, "base")
-            merged_sd = registry_merge(method, chip=chip.state_dict(),
-                                       instruct=instruct.state_dict(),
-                                       base=base.state_dict(), **kwargs)
+            merged_sd = registry_merge(
+                method, chip=self.chip_model(family).parameter_arrays(),
+                instruct=self.get(family, "instruct").parameter_arrays(),
+                base=self.get(family, "base").parameter_arrays(), **kwargs)
             model.load_state_dict(dict(merged_sd))
         model.eval()
         self._models[key] = model
@@ -302,10 +324,10 @@ class ModelZoo:
                    not in self._models]
         if missing:
             engine = self.merge_engine(family)
-            config = self.chip_model(family).config
+            config = self._config(family)
             models = [TransformerLM(config) for _ in missing]
             engine.sweep(missing, n_workers=n_workers,
-                         out=[parameter_arrays(model) for model in models])
+                         out=[model.parameter_arrays() for model in models])
             for lam, model in zip(missing, models):
                 model.eval()
                 key = self._merged_key(family, "chipalign", {"lam": lam})
@@ -326,7 +348,7 @@ class ModelZoo:
         if triplets is None:
             triplets = openroad_qa.eval_triplets()
         return evaluate_merged_candidates(
-            self.merge_engine(family), self.chip_model(family).config,
+            self.merge_engine(family), self._config(family),
             self.tokenizer, triplets, lams, workers=workers,
             max_new_tokens=max_new_tokens)
 
@@ -343,7 +365,7 @@ class ModelZoo:
         from ..serve.lambda_fleet import LambdaFleetServer
 
         return LambdaFleetServer(
-            self.merge_engine(family), self.chip_model(family).config,
+            self.merge_engine(family), self._config(family),
             variants, tokenizer=self.tokenizer, **kwargs)
 
     def prewarm(self, families=FAMILIES) -> None:

@@ -59,7 +59,7 @@ Orthogonal to the decode mode, two cheap-serve axes (DESIGN.md §11):
     persistent fp32 matrix.  Prefill and the exact decode path run on the
     *dequantized* weights, which makes exact mode the byte-level oracle
     for the quantized model (see :func:`dequantized_oracle_model`).  A
-    model whose ``state_dict()`` is already quantized (the fleet's
+    model whose ``parameter_arrays()`` is already quantized (the fleet's
     arena-published form) is consumed verbatim, never re-quantized.
 ``kv_mode="paged"``
     Fused-mode KV storage is carved into fixed-size blocks handed out by a
@@ -111,9 +111,9 @@ class _StateModel:
     """Duck-typed model view over a plain state dict (config + weights).
 
     :class:`~repro.nn.infer.InferenceEngine` only ever reads ``.config``
-    and ``.state_dict()``, so this shim lets the engine be built from a
-    transformed weight set — the dequantized twin of an int8 model, or the
-    fleet's arena-backed views — without materialising a TransformerLM.
+    and ``.parameter_arrays()``, so this shim lets the engine be built from
+    a transformed weight set — the dequantized twin of an int8 model —
+    without materialising a TransformerLM.
     """
 
     __slots__ = ("config", "_state")
@@ -122,7 +122,7 @@ class _StateModel:
         self.config = config
         self._state = state
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
+    def parameter_arrays(self) -> Dict[str, np.ndarray]:
         return self._state
 
 
@@ -134,7 +134,7 @@ def dequantized_oracle_model(model) -> _StateModel:
     from this model defines the token streams the fused int8 path must
     reproduce — the differential oracle of the int8 parity suite.
     """
-    state = model.state_dict()
+    state = model.parameter_arrays()
     if not is_quantized_state(state):
         state = quantize_state_dict(state)
     return _StateModel(model.config, dequantize_state_dict(state))
@@ -315,7 +315,7 @@ class BatchedEngine(InferenceEngine):
             raise ValueError("kv_block_tokens must be >= 1")
         qstate = None
         if weight_mode == "int8":
-            state = model.state_dict()
+            state = model.parameter_arrays()
             qstate = (state if is_quantized_state(state)
                       else quantize_state_dict(state))
             # Prefill and the exact decode path run the *dequantized*

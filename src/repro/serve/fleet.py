@@ -6,9 +6,9 @@ replica processes, each running its own
 :class:`~repro.serve.engine.BatchedEngine` + continuous-batching
 :class:`~repro.serve.scheduler.Scheduler` over **zero-copy read-only views**
 of the published tensors (an :class:`ArenaBackedModel` shim hands the arena
-views to the engine's weight snapshot, so no replica ever copies the
-weights).  The parent routes requests, streams token events back, and
-re-merges per-replica metric registries into a fleet view.
+views to the engine, which reads weights in place, so no replica ever
+copies the weights).  The parent routes requests, streams token events
+back, and re-merges per-replica metric registries into a fleet view.
 
 Routing is consistent-hash affinity (:class:`HashRing`): a request keyed by
 its session id — or, absent a session, its first ``affinity_prefix_tokens``
@@ -94,14 +94,16 @@ class FleetError(RuntimeError):
 
 
 class ArenaBackedModel:
-    """Duck-typed stand-in for a ``TransformerLM`` whose ``state_dict``
-    returns the arena's zero-copy views.
+    """Duck-typed stand-in for a ``TransformerLM`` whose weights are the
+    arena's read-only zero-copy views.
 
-    :class:`~repro.nn.infer.InferenceEngine` snapshots weights by *storing
-    references* to the arrays ``model.state_dict()`` returns — so handing it
-    read-only shared-memory views means every replica's engine reads the one
-    published weight copy directly.  (A real ``Module.state_dict()`` copies;
-    this shim is how the fleet avoids N weight copies per host.)
+    :class:`~repro.nn.infer.InferenceEngine` reads whatever arrays
+    ``model.parameter_arrays()`` returns, in place — for a ``TransformerLM``
+    its own parameters, here the published tensors — so every replica's
+    engine reads the one published weight copy and a host holds one copy
+    of the weights however many replicas it runs.  The views are read-only
+    and nothing trains them, so the engine contract (never update a model
+    in place under a live engine) holds by construction.
     """
 
     def __init__(self, config: TransformerConfig,
@@ -109,7 +111,7 @@ class ArenaBackedModel:
         self.config = config
         self._tensors = tensors
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
+    def parameter_arrays(self) -> Dict[str, np.ndarray]:
         return dict(self._tensors)
 
 
@@ -449,7 +451,7 @@ class FleetServer:
         Overridable: a λ-fleet publishes a shared ``MergePlan`` instead of a
         state dict and hands each replica a variant-materializing source.
         """
-        state = model.state_dict()
+        state = model.parameter_arrays()
         if self.config.weight_mode == "int8":
             # Publish the quantized form: int8 matrices plus per-channel
             # scale vectors.  The shared segment shrinks to ~28% of fp32
@@ -464,7 +466,7 @@ class FleetServer:
         """Publish the speculative draft's weights (quantized when serving
         int8 — replicas dequantize a private copy; output bytes are immune
         to draft weights by exact accept/reject)."""
-        state = draft_model.state_dict()
+        state = draft_model.parameter_arrays()
         if self.config.weight_mode == "int8":
             from ..nn.kernels import quantize_state_dict
             state = quantize_state_dict(state)

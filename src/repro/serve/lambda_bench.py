@@ -162,7 +162,9 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
                                            seed=seed + 1))
     for model in (chip, instruct):
         model.eval()
-    engine = GeodesicMergeEngine(chip.state_dict(), instruct.state_dict())
+    # Not from_models: its config check refuses differing seeds.
+    engine = GeodesicMergeEngine(chip.parameter_arrays(),
+                                 instruct.parameter_arrays())
     variants = default_variants(n_variants, config.n_layers)
     workload = _workload(variants, requests_per_variant, prefix_tokens,
                          unique_tokens, max_new_tokens, vocab, seed)
@@ -170,7 +172,7 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
     total_tokens = n_requests * max_new_tokens
 
     # Phase 1 — residency: one published plan vs K materialized copies.
-    model_bytes = sum(v.nbytes for v in chip.state_dict().values())
+    model_bytes = sum(v.nbytes for v in chip.parameter_arrays().values())
     with TensorArena() as probe:
         engine.plan.publish(probe, prefix=PLAN_PREFIX)
         plan_bytes = probe.nbytes_for(PLAN_PREFIX)

@@ -193,11 +193,11 @@ def materialize_variant(plan: MergePlan, spec: VariantSpec, dtype=None,
 class LazyMergedModel:
     """Duck-typed model whose weights realize lazily from a shared plan.
 
-    ``state_dict()`` materializes the variant on first call (through
+    ``parameter_arrays()`` materializes the variant on first call (through
     :func:`materialize_variant`) and memoizes; until then the model costs
-    nothing beyond its spec.  Engines snapshot weights at construction, so
-    the usual lifecycle is build-engine → :meth:`release` — after which the
-    only resident copy is the engine's.
+    nothing beyond its spec.  Engines read those arrays in place, so
+    :meth:`release` after building an engine drops only the model's
+    reference — the engine keeps the one resident copy alive.
     """
 
     def __init__(self, config: TransformerConfig, plan: MergePlan,
@@ -211,7 +211,7 @@ class LazyMergedModel:
     def materialized(self) -> bool:
         return self._state is not None
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
+    def parameter_arrays(self) -> Dict[str, np.ndarray]:
         if self._state is None:
             self._state = materialize_variant(self.plan, self.spec)
         return dict(self._state)

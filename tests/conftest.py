@@ -1,8 +1,10 @@
 """Shared fixtures for the test suite."""
 
+import gc
 import os
 import signal
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +115,22 @@ def numeric_grad(fn, x, eps=1e-6):
         flat[i] = orig
         gflat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def traced_peak(call):
+    """Peak bytes ``tracemalloc`` traces while ``call()`` runs.
+
+    Garbage is collected first, so the figure counts what ``call`` itself
+    allocates above the live heap; tracing stops even if ``call`` raises.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def within(seconds, body):

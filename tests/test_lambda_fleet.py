@@ -198,13 +198,13 @@ class TestLazyMergedModel:
         model = LazyMergedModel(CONFIG, engine.plan,
                                 VariantSpec.scalar("v", 0.5))
         assert not model.materialized
-        first = model.state_dict()
+        first = model.parameter_arrays()
         assert model.materialized
-        second = model.state_dict()
+        second = model.parameter_arrays()
         _assert_state_equal(second, first)
         model.release()
         assert not model.materialized
-        _assert_state_equal(model.state_dict(), first)
+        _assert_state_equal(model.parameter_arrays(), first)
 
     def test_serves_like_its_oracle(self, engine):
         """An InProcessServer over the lazy model emits the same bytes as

@@ -69,3 +69,31 @@ def test_duplicate_registration_rejected():
         @register("chipalign")
         def _dup(**kwargs):
             return {}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("method", available_methods())
+def test_every_method_leaves_its_inputs_untouched(method, dtype):
+    """Callers hand merges the models' live parameter arrays (a cached zoo
+    model's own weights), so a method that wrote into an input would
+    silently corrupt that model.  float64 inputs matter too: there
+    ``np.asarray(w, np.float64)`` is no copy."""
+    from repro.nn.transformer import TransformerConfig, TransformerLM
+
+    inputs = {}
+    for role, seed in (("chip", 1), ("instruct", 2), ("base", 3)):
+        model = TransformerLM(TransformerConfig(
+            vocab_size=16, dim=8, n_layers=1, n_heads=2, max_seq_len=8,
+            seed=seed))
+        inputs[role] = OrderedDict(
+            (key, value.astype(dtype, copy=False))
+            for key, value in model.parameter_arrays().items())
+    before = {role: {key: value.tobytes() for key, value in state.items()}
+              for role, state in inputs.items()}
+    merged = merge(method, **inputs)
+    assert set(merged) == set(inputs["chip"])
+    for role, state in inputs.items():
+        for key, value in state.items():
+            assert value.tobytes() == before[role][key], (role, key)
+            assert not any(np.shares_memory(value, out)
+                           for out in merged.values()), (role, key)

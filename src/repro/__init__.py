@@ -11,12 +11,15 @@ Quickstart
 >>> merged = ChipAlignMerger(lam=0.6).merge_models(chip_model, instruct_model)
 """
 
-from .core import ChipAlignMerger, geodesic_merge, merge_state_dicts, slerp
-from .core.registry import available_methods, merge
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ChipAlignMerger", "geodesic_merge", "merge_state_dicts", "slerp",
-    "available_methods", "merge", "__version__",
-]
+# Lazy: importing one subsystem (say ``repro.serve``) must not load the
+# merge engine and its baselines.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("ChipAlignMerger", "geodesic_merge", "merge_state_dicts",
+              "slerp"),
+    ".core.registry": ("available_methods", "merge"),
+})
+__all__.append("__version__")

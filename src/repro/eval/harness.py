@@ -16,8 +16,6 @@ from ..obs import Observability
 from ..data.openroad_qa import CATEGORIES as OPENROAD_CATEGORIES
 from ..data.openroad_qa import QATriplet
 from ..data.prompting import format_prompt
-from ..parallel import (WorkerPool, effective_workers, get_task_context,
-                        task_context, task_obs, worker_obs)
 from .ifeval.instructions import Instruction, StartWith
 from .judge import JudgeVerdict, ReferenceJudge
 from .rouge import rouge_l
@@ -145,11 +143,15 @@ class LMAnswerer(Answerer):
 # plain-data tasks".  The answerer/judge/instructions ride in the fork-
 # inherited task context (never pickled); tasks and results are small plain
 # data.  Serial mode runs the same function inline under ``task_obs``, so
-# the two paths are bit-identical by construction.
+# the two paths are bit-identical by construction.  The pool is imported
+# where it is used, so importing the harness (say, for its instruction
+# constants) does not load multiprocessing.
 
 
 def _openroad_item(task: Tuple[str, Optional[str], str, str]) -> Tuple[str, float]:
     """Generate + ROUGE-score one OpenROAD QA triplet."""
+    from ..parallel import get_task_context, worker_obs
+
     question, context, category, reference = task
     ctx = get_task_context()
     with worker_obs().span("eval.openroad.item", category=category):
@@ -160,6 +162,8 @@ def _openroad_item(task: Tuple[str, Optional[str], str, str]) -> Tuple[str, floa
 
 def _industrial_item(task) -> Tuple[str, JudgeVerdict]:
     """Generate + judge one industrial QA item (single- or multi-turn)."""
+    from ..parallel import get_task_context
+
     question, context, golden, history, judge_question = task
     ctx = get_task_context()
     instructions = ctx["instructions"]
@@ -173,6 +177,8 @@ def _industrial_item(task) -> Tuple[str, JudgeVerdict]:
 
 def _run_items(fn, tasks, workers: int, obs: Observability) -> List:
     """Run an item function over tasks — pooled, or inline when serial."""
+    from ..parallel import WorkerPool, task_obs
+
     if workers > 1:
         with WorkerPool(workers, obs=obs) as pool:
             return pool.map_chunked(fn, tasks)
@@ -218,6 +224,8 @@ def run_openroad(answerer: Answerer, triplets: Sequence[QATriplet],
         raise ValueError("rag context mode requires a rag_pipeline")
     if not triplets:
         raise ValueError("empty evaluation set")
+    from ..parallel import effective_workers, task_context
+
     obs = obs if obs is not None else Observability()
     workers = effective_workers(workers)
     with obs.span("eval.openroad", items=len(triplets),
@@ -295,6 +303,8 @@ def run_industrial(answerer: Answerer, items: Sequence[IndustrialItem],
     if not items:
         raise ValueError("empty evaluation set")
     judge = judge or ReferenceJudge()
+    from ..parallel import effective_workers, task_context
+
     obs = obs if obs is not None else Observability()
     workers = effective_workers(workers)
     with obs.span("eval.industrial", items=len(items), answerer=answerer.name,
@@ -324,6 +334,8 @@ def run_industrial_multiturn(answerer: Answerer, items: Sequence[MultiTurnItem],
     if not items:
         raise ValueError("empty evaluation set")
     judge = judge or ReferenceJudge()
+    from ..parallel import effective_workers, task_context
+
     obs = obs if obs is not None else Observability()
     workers = effective_workers(workers)
     with obs.span("eval.industrial_multiturn", items=len(items),

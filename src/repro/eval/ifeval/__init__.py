@@ -1,14 +1,12 @@
 """IFEval reimplementation: verifiable instructions + accuracy evaluator."""
 
-from .instructions import (ALL_KINDS, AvoidWord, EndWith, IncludeWord,
-                           Instruction, MaxWords, MinWords, QuoteWrap,
-                           RepeatQuestion, StartWith, TwoParts,
-                           build_instruction, check_loose)
-from .evaluator import IFEvalResult, evaluate_model, evaluate_responses
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ALL_KINDS", "AvoidWord", "EndWith", "IncludeWord", "Instruction",
-    "MaxWords", "MinWords", "QuoteWrap", "RepeatQuestion", "StartWith",
-    "TwoParts", "build_instruction", "check_loose",
-    "IFEvalResult", "evaluate_model", "evaluate_responses",
-]
+# Lazy: the instruction checkers load without the model-driving evaluator.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".instructions": ("ALL_KINDS", "AvoidWord", "EndWith", "IncludeWord",
+                      "Instruction", "MaxWords", "MinWords", "QuoteWrap",
+                      "RepeatQuestion", "StartWith", "TwoParts",
+                      "build_instruction", "check_loose"),
+    ".evaluator": ("IFEvalResult", "evaluate_model", "evaluate_responses"),
+})

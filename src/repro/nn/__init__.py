@@ -4,42 +4,31 @@ This package replaces the PyTorch/HuggingFace stack the paper's experiments
 assume.  See DESIGN.md §1 for the substitution rationale.
 """
 
-from .tensor import Tensor, no_grad, cat, stack, where
-from .module import Module, ModuleList, Parameter
-from .layers import Dropout, Embedding, FeedForward, LayerNorm, Linear, RMSNorm
-from .attention import MultiHeadSelfAttention, RopeTable, causal_mask
-from .kernels import (attention_nograd, fused_attention, fused_attention_qkv,
-                      fused_attn_block, fused_cross_entropy, fused_gateup,
-                      fused_linear, fused_lm_loss, fused_mlp_block,
-                      fused_rms_norm, fused_swiglu, kernel_observability,
-                      kernel_workspace, set_kernel_observability)
-from .transformer import TransformerConfig, TransformerLM, preset_config
-from .tokenizer import BPETokenizer, WordTokenizer
-from .optim import SGD, Adam, AdamW, CosineSchedule, clip_grad_norm
-from .trainer import IGNORE_INDEX, TrainConfig, Trainer, TrainResult, pad_batch
-from .generation import continuation_logprob, generate, generate_text, sequence_logprob
-from .sampling import filter_top_k, filter_top_p, sample_next, softmax
-from .lora import LoRALinear, apply_lora, lora_parameters, merge_lora
-from .checkpoint import (checkpoint_exists, load_model, load_state_dict,
-                         save_model, save_state_dict)
-from .infer import InferenceEngine, generate_text_fast
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Tensor", "no_grad", "cat", "stack", "where",
-    "Module", "ModuleList", "Parameter",
-    "Dropout", "Embedding", "FeedForward", "LayerNorm", "Linear", "RMSNorm",
-    "MultiHeadSelfAttention", "RopeTable", "causal_mask",
-    "attention_nograd", "fused_attention", "fused_attention_qkv",
-    "fused_attn_block", "fused_cross_entropy", "fused_gateup", "fused_linear",
-    "fused_lm_loss", "fused_mlp_block", "fused_rms_norm", "fused_swiglu",
-    "kernel_observability", "kernel_workspace", "set_kernel_observability",
-    "TransformerConfig", "TransformerLM", "preset_config",
-    "BPETokenizer", "WordTokenizer",
-    "SGD", "Adam", "AdamW", "CosineSchedule", "clip_grad_norm",
-    "IGNORE_INDEX", "TrainConfig", "Trainer", "TrainResult", "pad_batch",
-    "continuation_logprob", "generate", "generate_text", "sequence_logprob",
-    "filter_top_k", "filter_top_p", "sample_next", "softmax",
-    "LoRALinear", "apply_lora", "lora_parameters", "merge_lora",
-    "checkpoint_exists", "load_model", "load_state_dict", "save_model", "save_state_dict",
-    "InferenceEngine", "generate_text_fast",
-]
+# Lazy: inference code imports the transformer without the trainer,
+# optimizers and LoRA.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".tensor": ("Tensor", "no_grad", "cat", "stack", "where"),
+    ".module": ("Module", "ModuleList", "Parameter"),
+    ".layers": ("Dropout", "Embedding", "FeedForward", "LayerNorm", "Linear",
+                "RMSNorm"),
+    ".attention": ("MultiHeadSelfAttention", "RopeTable", "causal_mask"),
+    ".kernels": ("attention_nograd", "fused_attention", "fused_attention_qkv",
+                 "fused_attn_block", "fused_cross_entropy", "fused_gateup",
+                 "fused_linear", "fused_lm_loss", "fused_mlp_block",
+                 "fused_rms_norm", "fused_swiglu", "kernel_observability",
+                 "kernel_workspace", "set_kernel_observability"),
+    ".transformer": ("TransformerConfig", "TransformerLM", "preset_config"),
+    ".tokenizer": ("BPETokenizer", "WordTokenizer"),
+    ".optim": ("SGD", "Adam", "AdamW", "CosineSchedule", "clip_grad_norm"),
+    ".trainer": ("IGNORE_INDEX", "TrainConfig", "Trainer", "TrainResult",
+                 "pad_batch"),
+    ".generation": ("continuation_logprob", "generate", "generate_text",
+                    "sequence_logprob"),
+    ".sampling": ("filter_top_k", "filter_top_p", "sample_next", "softmax"),
+    ".lora": ("LoRALinear", "apply_lora", "lora_parameters", "merge_lora"),
+    ".checkpoint": ("checkpoint_exists", "load_model", "load_state_dict",
+                    "save_model", "save_state_dict"),
+    ".infer": ("InferenceEngine", "generate_text_fast"),
+})

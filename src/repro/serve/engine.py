@@ -638,7 +638,10 @@ class BatchedEngine(InferenceEngine):
         cap = max(have, _INITIAL_POOL_BLOCKS)
         while cap < needed:
             cap *= 2
-        cap = min(cap, max(max_blocks, needed))
+        # Clamp to what the batch can use at once; past that (entries pin
+        # blocks beyond it) keep doubling, so growth stays amortized.
+        if needed <= max_blocks:
+            cap = min(cap, max_blocks)
         dtype = self.tok_emb.dtype
         shape = (self.n_heads, cap, bt, self.head_dim)
         if not self._page_k:

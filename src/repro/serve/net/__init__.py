@@ -1,8 +1,8 @@
 """Network front door: sockets, streaming, and multi-tenant admission.
 
-The concurrent edge over :mod:`repro.serve` — an asyncio TCP server
-(:class:`NetServer`) speaking a newline-delimited JSON protocol
-(:mod:`~repro.serve.net.protocol`), with per-tenant token-bucket rate
+The concurrent edge over :mod:`repro.serve` — a TCP server run by one
+``selectors`` loop (:class:`NetServer`) speaking a newline-delimited JSON
+protocol (:mod:`~repro.serve.net.protocol`), with per-tenant token-bucket rate
 limits, weighted fair-share queueing, queue-depth backpressure and
 deadline propagation (:mod:`~repro.serve.net.admission`), token-by-token
 streamed responses, and graceful drain.  :class:`NetClient` is the

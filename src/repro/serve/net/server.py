@@ -1,44 +1,52 @@
-"""Asyncio TCP front door over the in-process serving subsystem.
+"""TCP front door over the in-process serving subsystem: one selectors loop.
 
 :class:`NetServer` is the concurrent edge the ROADMAP's "millions of users"
 story needs: real sockets in front of the continuous-batching scheduler.
-One asyncio event loop owns everything — connection handlers parse
-newline-delimited JSON frames (:mod:`repro.serve.net.protocol`), the
-admission layer (:mod:`repro.serve.net.admission`) rate-limits and
-fair-queues per tenant, and a single *pump* task drives
-:meth:`Scheduler.step` whenever work exists, yielding to the loop between
-steps so accepts and reads interleave with decoding.
+One loop thread owns everything.  A :class:`selectors.DefaultSelector`
+holds the listening socket, every client socket and one end of a wakeup
+socket pair; connections split their reads into newline-delimited JSON
+frames (:mod:`repro.serve.net.protocol`), the admission layer
+(:mod:`repro.serve.net.admission`) rate-limits and fair-queues per tenant,
+and the *pump* runs :meth:`Scheduler.step` whenever work exists, with a
+zero-timeout ``select`` between steps so accepts and reads interleave with
+decoding.  With no work the loop blocks in ``select(idle_poll_s)``.
 
 Streaming is push-based: the scheduler's ``on_token`` hook fires inside the
-decode step and the token frame lands in the connection's bounded *outbox*;
-a per-connection writer task flushes the outbox to the socket with
-``drain()`` backpressure.  A client that stops reading fills its outbox and
-is shed (connection closed, its requests cancelled) rather than growing
-server memory without bound; a client that disconnects mid-stream has its
-requests cancelled the moment the reader loop observes EOF, freeing batch
-slots immediately.
+decode step and the token frame lands in the connection's *outbox*, which
+is bounded by frame count.  After each step every connection with queued
+frames writes them with one coalesced ``send``; a partial write keeps the
+unsent tail queued and arms the socket for a writable event, which flushes
+it the same way.  A client that stops reading fills its outbox and is shed
+(``slow_consumer`` error frame, connection closed, its requests cancelled)
+rather than growing server memory without bound; a client that disconnects
+mid-stream has its requests cancelled the moment the loop reads EOF,
+freeing batch slots immediately.
 
-Graceful drain (`drain()`): stop accepting connections and new work
-(admission sheds with ``draining``), finish every admitted request, flush
-every outbox, then close.  The scheduler's conservation ledger
-(:meth:`Scheduler.accounting`) is checkable afterwards — drain leaks
-nothing.
+Graceful drain (:meth:`NetServer.drain`): close the listener and refuse new
+work (admission sheds with ``draining``), finish every admitted request
+within the grace period, flush every outbox, then close.  The scheduler's
+conservation ledger (:meth:`Scheduler.accounting`) is checkable afterwards
+— drain leaks nothing.
 
-The blocking model work runs *on* the event loop thread by design: one
-scheduler step is the atom of progress, and interleaving I/O between steps
-keeps TTFT bounded without cross-thread hand-offs that would break the
-deterministic schedule.  :class:`NetServerThread` hosts the loop in a
-daemon thread for tests, benchmarks, and embedding in synchronous code.
+The blocking model work runs *on* the loop thread by design: one scheduler
+step is the atom of progress, and interleaving I/O between steps keeps TTFT
+bounded without cross-thread hand-offs that would break the deterministic
+schedule.  Other threads talk to the loop only through
+:meth:`NetServer.call_soon_threadsafe`.  :class:`NetServerThread` hosts the
+loop in a daemon thread for tests, benchmarks, and embedding in synchronous
+code.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
+import selectors
+import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ...obs import Observability
 from ..metrics import LATENCY_BUCKETS
@@ -48,6 +56,15 @@ from ..server import InProcessServer
 from . import protocol
 from .admission import AdmissionController, TenantConfig
 from .protocol import ProtocolError
+
+#: Bytes asked of one ``recv``.
+RECV_BYTES = 1 << 16
+#: Seconds a closing connection gets to flush its outbox before its socket
+#: is closed regardless.
+FLUSH_GRACE_S = 5.0
+
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
 
 
 @dataclass(frozen=True)
@@ -75,60 +92,62 @@ class NetServerConfig:
 
 
 class _Connection:
-    """One client socket: reader state plus a bounded outbox + writer task."""
+    """One non-blocking client socket: a read buffer split on ``\\n`` and
+    an outbox of encoded frames, bounded by frame count."""
 
     _ids = itertools.count()
 
-    def __init__(self, writer: asyncio.StreamWriter, outbox_limit: int) -> None:
+    def __init__(self, sock: socket.socket, outbox_limit: int) -> None:
         self.conn_id = f"conn-{next(self._ids)}"
-        self.writer = writer
+        self.sock = sock
         self.outbox_limit = outbox_limit
-        self.outbox: asyncio.Queue = asyncio.Queue()
+        self.outbox: Deque[bytes] = deque()
+        #: Bytes of ``outbox[0]`` already written by a partial send.
+        self.head_sent = 0
+        #: Received bytes after the last newline (an incomplete frame).
+        self.inbuf = b""
+        #: No new frames are queued; the socket closes once flushed.
         self.closed = False
         self.overflowed = False
+        #: Armed for a writable event (the last flush was partial).
+        self.blocked = False
+        #: ``time.monotonic()`` past which a closing socket is dropped.
+        self.close_by = 0.0
         #: client_id -> request_id for in-flight work on this connection.
         self.live: Dict[str, str] = {}
-        self.writer_task: Optional[asyncio.Task] = None
 
     def send(self, frame: Dict[str, object]) -> bool:
         """Queue a frame for delivery; ``False`` marks a slow consumer."""
         if self.closed:
             return False
-        if self.outbox.qsize() >= self.outbox_limit:
+        if len(self.outbox) >= self.outbox_limit:
             self.overflowed = True
             return False
-        self.outbox.put_nowait(protocol.encode_frame(frame))
+        self.outbox.append(protocol.encode_frame(frame))
         return True
 
-    async def run_writer(self) -> None:
+    def flush(self) -> bool:
+        """Write the outbox with one coalesced ``send``; frames the socket
+        did not take stay queued.  Returns whether the outbox is empty;
+        raises ``OSError`` if the peer is gone."""
+        if not self.outbox:
+            return True
+        data = b"".join(self.outbox)
         try:
-            while True:
-                data = await self.outbox.get()
-                if data is None:  # close sentinel
-                    break
-                self.writer.write(data)
-                await self.writer.drain()
-        except (ConnectionError, asyncio.CancelledError, RuntimeError):
-            pass
-        # Everything queued before the sentinel is flushed: close the
-        # transport, which also hands the connection's reader EOF, so a
-        # client shed from the pump side is disconnected at once instead
-        # of staying parked in readline().
-        self.writer.close()
+            sent = self.sock.send(memoryview(data)[self.head_sent:])
+        except BlockingIOError:
+            sent = 0
+        sent += self.head_sent
+        outbox = self.outbox
+        while outbox and sent >= len(outbox[0]):
+            sent -= len(outbox.popleft())
+        self.head_sent = sent
+        return not outbox
 
-    async def flush_and_close(self) -> None:
-        self.closed = True
-        self.outbox.put_nowait(None)
-        if self.writer_task is not None:
-            try:
-                await asyncio.wait_for(self.writer_task, timeout=5.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                self.writer_task.cancel()
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, RuntimeError):
-            pass
+    def feed(self, data: bytes) -> List[bytes]:
+        """The complete lines ``data`` finishes; the tail stays buffered."""
+        *lines, self.inbuf = (self.inbuf + data).split(b"\n")
+        return lines
 
 
 class _Binding:
@@ -151,8 +170,11 @@ class NetServer:
     """TCP serving daemon: protocol + admission + scheduler pump.
 
     Parameters mirror :class:`~repro.serve.server.InProcessServer` plus the
-    transport config.  All state is owned by the event loop thread; use
-    :class:`NetServerThread` to host one from synchronous code.
+    transport config.  :meth:`start` binds; :meth:`serve_forever` runs the
+    loop on the calling thread until a drain completes.  All state is owned
+    by the loop thread; :meth:`drain` and :meth:`call_soon_threadsafe` are
+    the calls other threads may make.  :class:`NetServerThread` hosts one
+    from synchronous code.
     """
 
     def __init__(self, model, tokenizer=None,
@@ -183,11 +205,19 @@ class NetServer:
         self._ids = itertools.count()
         self._bindings: Dict[str, _Binding] = {}  # request_id -> binding
         self._connections: Dict[str, _Connection] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        self._work_event: Optional[asyncio.Event] = None
-        self._finished: Optional[asyncio.Event] = None
-        self._stopping = False
+        #: Connections with frames queued since the last flush.
+        self._dirty: Set[_Connection] = set()
+        #: Shed or hung-up connections still flushing their outbox.
+        self._closing: Set[_Connection] = set()
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._listener: Optional[socket.socket] = None
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
+        self._callbacks: Deque[Tuple[Callable, tuple]] = deque()
+        #: ``clock()`` at which a requested drain stops waiting for work.
+        self._drain_deadline: Optional[float] = None
+        #: Set once the loop has closed every socket.
+        self._closed = threading.Event()
         self.draining = False
         self.address: Optional[Tuple[str, int]] = None
         self.started_at = clock()
@@ -202,150 +232,230 @@ class NetServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind the listening socket and start the pump; returns (host, port)."""
-        self._work_event = asyncio.Event()
-        self._finished = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.net_config.host,
-            self.net_config.port)
-        sock = self._server.sockets[0]
-        self.address = sock.getsockname()[:2]
-        self._pump_task = asyncio.get_running_loop().create_task(self._pump())
+    def start(self) -> Tuple[str, int]:
+        """Bind the listening socket; returns (host, port).  Connections
+        queue in the backlog until :meth:`serve_forever` runs."""
+        host, port = self.net_config.host, self.net_config.port
+        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((host, port), family=family)
+        self._listener.setblocking(False)
+        self.address = self._listener.getsockname()[:2]
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, _READ, self._accept)
+        self._selector.register(self._wake_r, _READ, self._run_callbacks)
         return self.address
 
-    async def serve_forever(self) -> None:
-        await self.start()
+    def serve_forever(self) -> None:
+        """Run the loop on this thread until a drain has closed everything."""
+        if self._selector is None:
+            self.start()
         try:
-            await self._pump_task
+            while self._drain_deadline is None:
+                self._run_once()
+            with self.obs.span("serve.net.drain"):
+                while (self._has_work()
+                       and self.clock() < self._drain_deadline):
+                    self._run_once()
+                # In-flight work is done (or grace expired); flush every
+                # outbox.
+                self._close_everything()
         finally:
-            await self._close_everything()
+            self._close_everything()
 
-    async def drain(self, grace_s: Optional[float] = None) -> Dict[str, int]:
-        """Graceful shutdown: refuse new work, finish admitted work, flush.
+    def drain(self, grace_s: Optional[float] = None,
+              timeout: Optional[float] = None) -> Dict[str, int]:
+        """Graceful shutdown, from any thread but the loop's: refuse new
+        work, finish admitted work within ``grace_s``, flush, close.
 
-        Returns the scheduler's post-drain accounting ledger.
+        Returns the scheduler's post-drain accounting ledger; raises
+        ``TimeoutError`` if the loop has not closed within ``timeout``.
         """
         grace_s = self.net_config.drain_grace_s if grace_s is None else grace_s
-        self.draining = True
-        self.admission.draining = True
-        if self._server is not None:
-            self._server.close()
-        deadline = self.clock() + grace_s
-        with self.obs.span("serve.net.drain"):
-            while ((not self.scheduler.idle
-                    or self.admission.queued_total > 0)
-                   and self.clock() < deadline):
-                await asyncio.sleep(self.net_config.idle_poll_s)
-            # In-flight work is done (or grace expired); flush every outbox.
-            self._stopping = True
-            if self._work_event is not None:
-                self._work_event.set()
-            await self._close_everything()
+        self.call_soon_threadsafe(self._begin_drain, grace_s)
+        if not self._closed.wait(timeout):
+            raise TimeoutError(
+                f"net server did not finish draining within {timeout} s")
         return self.scheduler.accounting()
 
-    async def _close_everything(self) -> None:
-        if self._pump_task is not None and not self._pump_task.done():
-            self._stopping = True
-            if self._work_event is not None:
-                self._work_event.set()
-            try:
-                await asyncio.wait_for(self._pump_task, timeout=10.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                self._pump_task.cancel()
+    def call_soon_threadsafe(self, callback: Callable, *args) -> None:
+        """Run ``callback(*args)`` on the loop thread at its next wakeup."""
+        self._callbacks.append((callback, args))
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # a wakeup is already pending, or the loop closed
+            pass
+
+    def _begin_drain(self, grace_s: float) -> None:
+        self.draining = True
+        self.admission.draining = True
+        self._close_listener()
+        deadline = self.clock() + grace_s
+        if self._drain_deadline is None or deadline < self._drain_deadline:
+            self._drain_deadline = deadline
+
+    def _close_listener(self) -> None:
+        if self._listener is not None:
+            self._selector.unregister(self._listener)
+            self._listener.close()
+            self._listener = None
+
+    def _close_everything(self) -> None:
+        """Cancel what is still live, flush every outbox (for at most
+        :data:`FLUSH_GRACE_S`), close every socket."""
+        if self._closed.is_set():
+            return
+        self._close_listener()
         for conn in list(self._connections.values()):
-            await conn.flush_and_close()
-        self._connections.clear()
+            self._close_connection(conn)
+        # The cancels above owe their tenants' ledgers a terminal outcome.
+        for completion in self.scheduler.drain_completions():
+            self._emit_done(completion)
         self._conn_gauge.set(0)
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except RuntimeError:
-                pass
+        while self._closing:
+            self._poll(FLUSH_GRACE_S)
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
+        self._closed.set()
 
     # ------------------------------------------------------------------
-    # pump: the single task that advances the scheduler
+    # the loop
     # ------------------------------------------------------------------
-    async def _pump(self) -> None:
-        while True:
-            # Drain the completion list, not step()'s return value: a
-            # cancel landing between steps (client hangup, cancel verb)
-            # appends its terminal completion outside any step, and it
-            # still owes the client a done frame.
-            for completion in self.scheduler.drain_completions():
-                self._emit_done(completion)
-            has_work = (not self.scheduler.idle
-                        or self.admission.queued_total > 0)
-            if self._stopping and not has_work:
-                break
-            if not has_work:
-                self._work_event.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._work_event.wait(),
-                        timeout=self.net_config.idle_poll_s)
-                except asyncio.TimeoutError:
-                    pass
-                continue
+    def _has_work(self) -> bool:
+        return not self.scheduler.idle or self.admission.queued_total > 0
+
+    def _run_once(self) -> None:
+        """One turn: socket events, one scheduler step if work exists,
+        done frames, then one coalesced write per connection."""
+        self._poll(0.0 if self._has_work() else self.net_config.idle_poll_s)
+        if self._has_work():
             with self.obs.span("serve.net.pump_step"):
                 self.scheduler.step()
-            # Yield so accepts/reads/writes interleave with decode steps.
-            await asyncio.sleep(0)
+        # Drain the completion list, not step()'s return value: a cancel
+        # landing between steps (client hangup, cancel verb) appends its
+        # terminal completion outside any step, and it still owes the
+        # client a done frame.
+        for completion in self.scheduler.drain_completions():
+            self._emit_done(completion)
+        dirty, self._dirty = self._dirty, set()
+        for conn in dirty:
+            if not conn.blocked:
+                self._flush(conn)
 
-    def _kick(self) -> None:
-        if self._work_event is not None:
-            self._work_event.set()
+    def _poll(self, timeout: float) -> None:
+        for key, mask in self._selector.select(timeout):
+            conn = key.data
+            if type(conn) is not _Connection:
+                conn()  # the listener's or the wakeup socket's handler
+                continue
+            if mask & _WRITE:
+                self._flush(conn)
+            if mask & _READ and not conn.closed:
+                self._read(conn)
+        if self._closing:
+            now = time.monotonic()
+            for conn in [c for c in self._closing if now >= c.close_by]:
+                self._drop_socket(conn)
+
+    def _run_callbacks(self) -> None:
+        try:
+            self._wake_r.recv(RECV_BYTES)
+        except OSError:
+            pass
+        while self._callbacks:
+            callback, args = self._callbacks.popleft()
+            callback(*args)
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Shutdown cancels straggler handlers; end the task *normally*
-            # so asyncio.streams' connection_made done-callback (which
-            # calls task.exception() unguarded on 3.11) stays quiet.
-            pass
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        if (self.draining
-                or len(self._connections) >= self.net_config.max_connections):
-            writer.write(protocol.encode_frame(protocol.shed_frame(
-                "", protocol.SHED_DRAINING if self.draining
-                else protocol.SHED_QUEUE_FULL, 1.0)))
+    def _accept(self) -> None:
+        while self._listener is not None:
             try:
-                await writer.drain()
-            except ConnectionError:
-                pass
-            writer.close()
-            return
-        conn = _Connection(writer, self.net_config.outbox_limit)
-        conn.writer_task = asyncio.get_running_loop().create_task(
-            conn.run_writer())
-        self._connections[conn.conn_id] = conn
-        self._conn_total.inc()
-        self._conn_gauge.set(len(self._connections))
-        with self.obs.span("serve.net.accept", conn=conn.conn_id):
-            pass
-        try:
-            while True:
+                sock, _ = self._listener.accept()
+            except OSError:  # backlog empty (or out of descriptors)
+                return
+            sock.setblocking(False)
+            if len(self._connections) >= self.net_config.max_connections:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                if not line:
-                    break
-                if conn.closed:
-                    break
-                self._frames_in.inc()
-                self._dispatch(conn, line)
-        finally:
-            self._teardown_connection(conn)
-            await conn.flush_and_close()
+                    sock.send(protocol.encode_frame(protocol.shed_frame(
+                        "", protocol.SHED_QUEUE_FULL, 1.0)))
+                except OSError:
+                    pass
+                sock.close()
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock, self.net_config.outbox_limit)
+            self._selector.register(sock, _READ, conn)
+            self._connections[conn.conn_id] = conn
+            self._conn_total.inc()
+            self._conn_gauge.set(len(self._connections))
+            with self.obs.span("serve.net.accept", conn=conn.conn_id):
+                pass
+
+    def _read(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:  # EOF: the client hung up
+            self._close_connection(conn)
+            return
+        for line in conn.feed(data):
+            if conn.closed:
+                return
+            self._frames_in.inc()
+            self._dispatch(conn, line)
+        if len(conn.inbuf) > protocol.MAX_FRAME_BYTES:
+            # No newline in sight: the stream cannot be resynchronised.
+            self._proto_errors.inc()
+            self._send(conn, protocol.error_frame(
+                protocol.E_PARSE,
+                f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes"))
+            self._close_connection(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        try:
+            empty = conn.flush()
+        except OSError:  # the peer is gone: nothing more can be delivered
+            conn.outbox.clear()
+            if not conn.closed:
+                self._close_connection(conn)
+            self._drop_socket(conn)
+            return
+        if conn.closed:
+            if empty:
+                self._drop_socket(conn)
+        elif empty == conn.blocked:
+            conn.blocked = not empty
+            self._selector.modify(conn.sock, _READ | (_WRITE * conn.blocked),
+                                  conn)
+
+    def _close_connection(self, conn: _Connection) -> None:
+        """Stop reading from ``conn``, cancel what it still has in flight,
+        and close its socket once its outbox is flushed."""
+        conn.closed = True
+        self._teardown_connection(conn)
+        if not conn.outbox:
+            self._drop_socket(conn)
+            return
+        conn.close_by = time.monotonic() + FLUSH_GRACE_S
+        self._closing.add(conn)
+        self._selector.modify(conn.sock, _WRITE, conn)
+
+    def _drop_socket(self, conn: _Connection) -> None:
+        self._closing.discard(conn)
+        self._dirty.discard(conn)
+        try:
+            self._selector.unregister(conn.sock)
+        except (KeyError, ValueError):  # already dropped
+            return
+        conn.sock.close()
 
     def _teardown_connection(self, conn: _Connection) -> None:
         """Cancel everything a vanished/shed client still has in flight."""
@@ -354,7 +464,6 @@ class NetServer:
         conn.live.clear()
         self._connections.pop(conn.conn_id, None)
         self._conn_gauge.set(len(self._connections))
-        self._kick()
 
     def _cancel_request(self, request_id: str) -> bool:
         if self.admission.cancel_queued(request_id):
@@ -448,7 +557,6 @@ class NetServer:
         self._bindings[request_id] = binding
         conn.live[client_id] = request_id
         self._send(conn, protocol.accepted_frame(client_id, request_id))
-        self._kick()
 
     def _op_cancel(self, conn: _Connection, frame: Dict[str, object]) -> None:
         try:
@@ -463,7 +571,6 @@ class NetServer:
             return
         found = self._cancel_request(request_id)
         self._send(conn, protocol.cancelled_frame(client_id, found))
-        self._kick()
 
     # ------------------------------------------------------------------
     # scheduler callbacks
@@ -496,11 +603,9 @@ class NetServer:
         self._slow_sheds.inc()
         # Bypass the (full) outbox bound for the farewell frame; the client
         # may or may not read it before the close lands.
-        conn.outbox.put_nowait(protocol.encode_frame(protocol.error_frame(
+        conn.outbox.append(protocol.encode_frame(protocol.error_frame(
             protocol.E_SLOW_CONSUMER, "outbox limit exceeded")))
-        conn.closed = True
-        self._teardown_connection(conn)
-        conn.outbox.put_nowait(None)
+        self._close_connection(conn)
 
     def _emit_done(self, completion: Completion) -> None:
         binding = self._bindings.pop(completion.request_id, None)
@@ -527,6 +632,7 @@ class NetServer:
         ok = conn.send(frame)
         if ok:
             self._frames_out.inc()
+            self._dirty.add(conn)
         return ok
 
     # ------------------------------------------------------------------
@@ -558,7 +664,7 @@ class NetServer:
 
 
 class NetServerThread:
-    """Host a :class:`NetServer` on a dedicated event-loop thread.
+    """Host a :class:`NetServer` loop on a dedicated daemon thread.
 
     The synchronous facade tests, benchmarks, and the load generator use::
 
@@ -581,50 +687,17 @@ class NetServerThread:
         self.server = NetServer(model, tokenizer, serve_config, net_config,
                                 clock=clock, eos_id=eos_id, obs=obs,
                                 inner=inner)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
         self._stopped = False
 
-    def start(self, timeout: float = 10.0) -> Tuple[str, int]:
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-serve-net")
+    def start(self) -> Tuple[str, int]:
+        """Bind, then run the loop on the daemon thread; returns the
+        bound (host, port)."""
+        address = self.server.start()
+        self._thread = threading.Thread(target=self.server.serve_forever,
+                                        daemon=True, name="repro-serve-net")
         self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("net server failed to start in time")
-        return self.server.address
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def main():
-            await self.server.start()
-            self._started.set()
-            # The loop stays alive (serving drains, probes, late reads)
-            # until stop() sets the finished event.
-            await self.server._finished.wait()
-
-        try:
-            self._loop.run_until_complete(main())
-        finally:
-            try:
-                self._loop.run_until_complete(
-                    self.server._close_everything())
-            except RuntimeError:
-                pass
-            # Retire every straggler (connection handlers blocked in
-            # readline, writer tasks) before closing the loop — a pending
-            # task garbage-collected after loop close raises from inside
-            # its coroutine at arbitrary interpreter points.
-            pending = [t for t in asyncio.all_tasks(self._loop)
-                       if not t.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
-            self._loop.close()
+        return address
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -633,19 +706,13 @@ class NetServerThread:
     def drain(self, grace_s: Optional[float] = None,
               timeout: float = 120.0) -> Dict[str, int]:
         """Graceful shutdown from the caller's thread; returns the ledger."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.drain(grace_s), self._loop)
-        return future.result(timeout)
+        return self.server.drain(grace_s, timeout)
 
     def stop(self, timeout: float = 10.0) -> None:
+        """Close at once (in-flight work is cancelled) and join the loop."""
         if self._stopped:
             return
         self._stopped = True
-        if self._loop is not None and self._loop.is_running():
-            def _halt():
-                self.server._stopping = True
-                self.server._kick()
-                self.server._finished.set()
-            self._loop.call_soon_threadsafe(_halt)
-        if self._thread is not None:
+        if self._thread is not None and self._thread.is_alive():
+            self.server.call_soon_threadsafe(self.server._begin_drain, 0.0)
             self._thread.join(timeout)

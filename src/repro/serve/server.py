@@ -36,8 +36,10 @@ class InProcessServer:
     Parameters
     ----------
     model:
-        A :class:`~repro.nn.transformer.TransformerLM` (weights are
-        snapshotted by the engine at construction).
+        A :class:`~repro.nn.transformer.TransformerLM`.  The fp32 engine
+        serves the model's own weight arrays in place (no copy), so do not
+        train or reload the model while the server is live; int8 mode
+        quantizes into arrays of its own at construction.
     tokenizer:
         Optional; enables the text convenience APIs (``complete_text``,
         completions carrying decoded ``text``) and supplies the eos id.

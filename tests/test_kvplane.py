@@ -361,6 +361,38 @@ def test_truncate_kv_over_shared_blocks(model):
     assert eng._block_pool.n_allocated == 0
 
 
+def test_block_storage_grows_geometrically_past_batch_capacity(model):
+    """Entries that pin blocks beyond what the batch can use at once
+    (``max_batch_size`` full contexts) still grow the storage by doubling:
+    the number of rebuilds is logarithmic in the blocks held, not one per
+    block."""
+    eng = BatchedEngine(model, decode_mode="fused", kv_mode="paged",
+                        kv_block_tokens=4, max_batch_size=2)
+    rebuilds = [0]
+    rebuild = eng._rebuild_flat_views
+
+    def counted_rebuild():
+        rebuilds[0] += 1
+        rebuild()
+
+    eng._rebuild_flat_views = counted_rebuild
+    rng = np.random.default_rng(0)
+    entries = []
+    for _ in range(40):
+        handle = eng.begin_sequence()
+        eng.prefill_into([int(t) for t in rng.integers(1, 24, 40)], handle)
+        entries.append(eng.make_entry(handle))
+        eng.release(handle)
+    pinned = sum(len(entry.blocks) for entry in entries)
+    batch_blocks = 2 * (-(-model.config.max_seq_len // 4))
+    assert pinned == 40 * 10 and pinned > 10 * batch_blocks
+    assert eng._block_pool.n_blocks >= pinned
+    assert rebuilds[0] <= np.ceil(np.log2(eng._block_pool.n_blocks)) + 1
+    for entry in entries:
+        entry.release()
+    assert eng._block_pool.n_allocated == 0
+
+
 # ---------------------------------------------------------------------------
 # scheduler-level zero-copy admission + skip-insert regression
 # ---------------------------------------------------------------------------

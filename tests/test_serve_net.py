@@ -8,7 +8,7 @@ cancel/disconnect slot reclamation, slow-consumer shedding, and graceful
 drain with a conservation check.
 """
 
-import asyncio
+import selectors
 import socket
 import threading
 import time
@@ -570,32 +570,115 @@ def test_disconnect_mid_stream_cancels_and_frees_slot(long_model):
 def test_outbox_bound_is_enforced():
     """Per-connection write buffering is bounded: when the peer stops
     reading, send() refuses new frames instead of growing without limit."""
-
-    async def run():
-        server_sock, client_sock = socket.socketpair()
-        server_sock.setblocking(False)
-        reader, writer = await asyncio.open_connection(sock=server_sock)
-        conn = _Connection(writer, outbox_limit=4)
-        conn.writer_task = asyncio.get_event_loop().create_task(
-            conn.run_writer())
-        big = protocol.error_frame("protocol", "x" * 200_000)
-        accepted = 0
+    server_sock, client_sock = socket.socketpair()
+    server_sock.setblocking(False)
+    conn = _Connection(server_sock, outbox_limit=4)
+    big = protocol.error_frame("protocol", "x" * 200_000)
+    accepted = 0
+    try:
         for _ in range(64):
             if not conn.send(big):
                 break
             accepted += 1
-            await asyncio.sleep(0)  # let the writer block on drain()
+            conn.flush()  # what the loop does when the socket is writable
         assert accepted < 64, "outbox never filled"
-        assert conn.outbox.qsize() <= 4
+        assert len(conn.outbox) <= 4
+        assert conn.overflowed
+    finally:
         client_sock.close()
-        conn.writer_task.cancel()
-        try:
-            await conn.writer_task
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
-        writer.close()
+        server_sock.close()
 
-    asyncio.run(run())
+
+def test_partial_writes_deliver_every_frame_intact_and_in_order():
+    """A peer with a small receive buffer that reads slowly forces partial
+    sends; the unsent tail stays queued and every frame still arrives
+    whole and in order."""
+    server_sock, client_sock = socket.socketpair()
+    client_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    server_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    server_sock.setblocking(False)
+    frames = [protocol.token_frame(f"c{i % 3}", i, i * 7) for i in range(400)]
+    frames[::50] = [protocol.error_frame("protocol", "y" * 3000, f"big{i}")
+                    for i in range(len(frames[::50]))]
+    conn = _Connection(server_sock, outbox_limit=len(frames))
+    for frame in frames:
+        assert conn.send(frame)
+    received = bytearray()
+
+    def slow_reader():
+        while True:
+            chunk = client_sock.recv(512)
+            if not chunk:
+                return
+            received.extend(chunk)
+            time.sleep(0.0005)
+
+    reader = threading.Thread(target=slow_reader, daemon=True)
+    reader.start()
+    partial = False
+    with selectors.DefaultSelector() as selector:
+        selector.register(server_sock, selectors.EVENT_WRITE)
+        deadline = time.monotonic() + 30.0
+        while not conn.flush():
+            partial = partial or conn.head_sent > 0
+            assert time.monotonic() < deadline, "outbox never drained"
+            selector.select(1.0)
+    server_sock.close()
+    reader.join(30.0)
+    client_sock.close()
+    assert not reader.is_alive()
+    assert partial, "no write was partial; the test exercised nothing"
+    lines = bytes(received).split(b"\n")
+    assert lines[-1] == b""
+    assert [protocol.parse_frame(line) for line in lines[:-1]] == frames
+
+
+def test_frames_of_one_step_leave_in_one_send(model, monkeypatch):
+    """Everything one scheduler step emits for a connection (here a token
+    frame for each of three batched streams) is written with one send."""
+    handle = _start_server(model)
+    server = handle.server
+    steps = [0]
+    emitted = {}  # steps taken -> token frames that step emitted
+    sends = []  # (steps taken before the send, bytes sent)
+    step, on_token = server.scheduler.step, server.scheduler.on_token
+
+    def counted_step():
+        steps[0] += 1
+        return step()
+
+    def counted_on_token(request, token, index):
+        emitted[steps[0]] = emitted.get(steps[0], 0) + 1
+        on_token(request, token, index)
+
+    real_send = socket.socket.send
+
+    def recorded_send(sock, data, *args):
+        sent = real_send(sock, data, *args)
+        if threading.current_thread().name == "repro-serve-net":
+            sends.append((steps[0], bytes(data[:sent])))
+        return sent
+
+    monkeypatch.setattr(server.scheduler, "step", counted_step)
+    monkeypatch.setattr(server.scheduler, "on_token", counted_on_token)
+    monkeypatch.setattr(socket.socket, "send", recorded_send)
+    try:
+        with NetClient(*server.address) as client:
+            ids = [client.submit(prompt_ids=[1, 2 + i, 3], stream=True,
+                                 params={"max_new_tokens": 8, "seed": i})
+                   for i in range(3)]
+            results = [client.wait(cid) for cid in ids]
+        assert all(r.ok for r in results)
+        recorded = list(sends)
+    finally:
+        handle.drain()
+        handle.stop()
+    after_step = [n for n, _ in recorded]
+    assert len(after_step) == len(set(after_step)), "a step took two sends"
+    sent = {n: data.count(b'"event":"token"') for n, data in recorded}
+    assert {n: sent.get(n, 0) for n in emitted} == emitted
+    assert sum(emitted.values()) == 3 * 8
+    assert max(emitted.values()) >= 3  # the streams shared steps
 
 
 def test_slow_consumer_shed_cancels_and_frees_slot(long_model):
@@ -614,7 +697,7 @@ def test_slow_consumer_shed_cancels_and_frees_slot(long_model):
         assert client.recv_event()["event"] == "accepted"
         assert _wait_until(lambda: len(server._connections) == 1)
         conn = next(iter(server._connections.values()))
-        handle._loop.call_soon_threadsafe(server._shed_slow_consumer, conn)
+        server.call_soon_threadsafe(server._shed_slow_consumer, conn)
 
         saw_shed_error = False
         with pytest.raises(NetClientError, match="closed by server"):

@@ -1,4 +1,4 @@
-"""Serving — replica fleet over shared-memory weights vs a single engine.
+"""Serving — replica fleet over inherited weights vs a single engine.
 
 The fleet's acceptance workload: a multi-prefix-group burst answered by a
 consistent-hash-routed :class:`~repro.serve.fleet.FleetServer` and by a
@@ -10,9 +10,8 @@ vs ``replicas`` replicas, in paired rounds (:func:`repro.bench.paired`).
 
 The >= 2x aggregate-throughput target assumes the machine has the cores
 to run the replicas; on starved CI boxes it is waived and the gate
-degrades to a router-overhead sanity bound, while parity, zero respawns,
-router conservation and the no-leaked-shared-memory invariant are gated
-unconditionally.  The gates are the benchmark module's own
+degrades to a router-overhead sanity bound, while parity, zero respawns
+and router conservation are gated unconditionally.  The gates are the benchmark module's own
 (:mod:`repro.serve.fleet_bench`); ``repro bench fleet --json
 BENCH_fleet.json`` writes the snapshot.
 """

@@ -1,4 +1,4 @@
-"""Serving — K λ-variants from one arena-resident plan vs K full copies.
+"""Serving — K λ-variants from one resident plan vs K full copies.
 
 The λ-fleet's acceptance workload: a mixed-sampling burst spread across
 K = 8 merged-model variants (scalar λ grid, a layerwise ramp, a Karcher
@@ -8,10 +8,10 @@ materializing every variant lazily from one shared
 per-variant oracles.
 
 Unconditional gates: all K variants stay resident at <= ~2x one model's
-arena bytes (vs the Kx naive deployment), every routed token stream is
-byte-identical to its oracle in exact mode, scalar/layerwise cold
-materialization stays within a small multiple of ``engine.merge``, no
-replica respawns, router conservation, no leaked shared-memory segments.
+bytes in the fleet parent's one plan (vs the Kx naive deployment), every
+routed token stream is byte-identical to its oracle in exact mode,
+scalar/layerwise cold materialization stays within a small multiple of
+``engine.merge``, no replica respawns, router conservation.
 The aggregate concurrent-over-sequential throughput target is
 core-count-conditioned exactly like ``bench_fleet``; a starved box
 degrades it to a sanity bound.  The gates are the benchmark module's own

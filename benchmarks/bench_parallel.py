@@ -8,8 +8,8 @@ speedup, timed in paired rounds (:func:`repro.bench.paired`).
 
 The >= 2x target assumes the machine actually has the cores to run 4
 workers; on starved CI boxes it is waived and the gate degrades to an
-overhead sanity bound, while parity, the pool counters and the
-no-leaked-shared-memory invariant are gated unconditionally.  The gates
+overhead sanity bound, while parity and the pool counters are gated
+unconditionally.  The gates
 are the benchmark module's own (:mod:`repro.parallel.bench`); ``repro bench
 parallel --json BENCH_parallel.json`` writes the snapshot.
 """

@@ -280,7 +280,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    """Run N engine replicas over one shared-memory weight copy behind the
+    """Run N engine replicas over one inherited weight copy behind the
     socket front door, in the foreground until SIGINT/SIGTERM."""
     import signal
     import threading
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fleet = sub.add_parser(
         "serve-fleet",
-        help="serve N engine replicas over one shared-memory weight copy "
+        help="serve N engine replicas over one inherited weight copy "
              "behind the socket front door")
     p_fleet.add_argument("--backbone", default="nano",
                          choices=("nano", "micro", "grande"))

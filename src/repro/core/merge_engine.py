@@ -28,15 +28,12 @@ and the geometric-mean rescale :math:`\\mathrm{Norm}_{chip}^{\\lambda}
    projections, no norms, no angles.
 
 A whole sweep evaluates all L λ points tensor-at-a-time into one
-``(L, n)`` row block per tensor.  With ``n_workers > 1`` the plan's
-buffers are published once into a shared-memory
-:class:`~repro.parallel.TensorArena` and evaluated by a fault-tolerant
-:class:`~repro.parallel.WorkerPool` attached to zero-copy views of that
-plan — :meth:`GeodesicMergeEngine.sweep` fans out tensors (keeping each
-one-pass GEMM intact), :meth:`GeodesicMergeEngine.isweep` fans out λ
-points and streams merged models back in λ order.  Serial ``isweep`` can
-instead reuse one set of preallocated output buffers across λ points to
-cap peak memory at a single merged model.
+``(L, n)`` row block per tensor.  With ``n_workers > 1``
+:meth:`GeodesicMergeEngine.sweep` fans tensors out (keeping each one-pass
+GEMM intact) to a fault-tolerant :class:`~repro.parallel.WorkerPool`
+whose forked workers read the plan staged in
+:func:`~repro.parallel.task_context` — the parent's own rows, inherited
+across the fork, never copied or pickled.
 
 Residency: the plan is the one resident copy of the pair.  Planning reads
 any pair of state-dict mappings one tensor pair at a time — two models'
@@ -65,8 +62,7 @@ from __future__ import annotations
 
 import fnmatch
 from collections import OrderedDict
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,9 +216,6 @@ class TensorPlan:
 class MergePlan:
     """The λ-independent half of a ChipAlign merge, reusable for any λ."""
 
-    #: Default arena key prefix for :meth:`publish` / :meth:`from_view`.
-    ARENA_PREFIX = "plan"
-
     def __init__(self, tensors: "OrderedDict[str, TensorPlan]") -> None:
         self.tensors = tensors
 
@@ -254,64 +247,13 @@ class MergePlan:
             **{f"n_{kind}": float(count) for kind, count in sorted(kinds.items())},
         }
 
-    # ------------------------------------------------------------------
-    # shared-memory residency: one published plan, any number of readers
-    # ------------------------------------------------------------------
-    def metas(self) -> List[Tuple]:
-        """The λ-independent scalars of every tensor as picklable tuples.
-
-        Together with an arena view of the published buffers this is enough
-        to rebuild the plan anywhere (:meth:`from_view`) — the plan crosses
-        a process border as a few hundred bytes however large the models.
-        """
-        return [(plan.key, plan.kind, tuple(plan.shape), plan.norm_chip,
-                 plan.norm_instruct, plan.theta, plan.sin_theta,
-                 plan.stacked is not None, plan.raw_chip is not None)
-                for plan in self]
-
-    def publish(self, arena, prefix: str = ARENA_PREFIX) -> List[Tuple]:
-        """Publish the plan's buffers into a shared-memory arena.
-
-        Everything lands in **one** segment (64-byte-aligned packing via
-        :meth:`~repro.parallel.TensorArena.publish_dict`) under
-        ``{prefix}.stacked.{key}`` / ``{prefix}.raw.{key}``.  Rows are
-        stored exactly as planned — float32 for float32 source models
-        (~2x one model's bytes), float64 otherwise — so the arena plan and
-        the in-process plan hold the same bytes and evaluate to the same
-        bits (readers upcast through :attr:`TensorPlan.stacked64`).
-
-        Returns the :meth:`metas` list; ``(arena.handle(), metas)`` is the
-        picklable pair :meth:`from_view` (or a pool initializer) rebuilds
-        from.
-        """
-        tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for plan in self:
-            if plan.stacked is not None:
-                tensors[f"stacked.{plan.key}"] = plan.stacked
-            if plan.raw_chip is not None:
-                tensors[f"raw.{plan.key}"] = plan.raw_chip
-        if tensors:
-            arena.publish_dict(prefix, tensors)
-        return self.metas()
-
-    @classmethod
-    def from_view(cls, view, metas: Iterable[Tuple],
-                  prefix: str = ARENA_PREFIX) -> "MergePlan":
-        """Rebuild a plan over zero-copy arena views of published buffers.
-
-        The rebuilt plan evaluates bit-identically to the one that was
-        published (it reads the very same rows; see :meth:`publish`).
-        """
-        tensors: "OrderedDict[str, TensorPlan]" = OrderedDict()
-        for (key, kind, shape, norm_chip, norm_instruct, theta, sin_theta,
-             has_stacked, has_raw) in metas:
-            stacked = view.get(f"{prefix}.stacked.{key}") if has_stacked else None
-            raw = view.get(f"{prefix}.raw.{key}") if has_raw else None
-            tensors[key] = TensorPlan(key, kind, tuple(shape), stacked=stacked,
-                                      norm_chip=norm_chip,
-                                      norm_instruct=norm_instruct, theta=theta,
-                                      sin_theta=sin_theta, raw_chip=raw)
-        return cls(tensors)
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the plan's arrays: the stacked rows plus the
+        excluded tensors' raw copies."""
+        return sum(array.nbytes for plan in self
+                   for array in (plan.stacked, plan.raw_chip)
+                   if array is not None)
 
 
 def _plan_tensor(key: str, chip: np.ndarray, instruct: np.ndarray) -> TensorPlan:
@@ -355,51 +297,26 @@ def _plan_tensor(key: str, chip: np.ndarray, instruct: np.ndarray) -> TensorPlan
 
 
 # ---------------------------------------------------------------------------
-# multiprocessing fan-out: the plan's buffers live in a shared-memory
-# TensorArena; workers attach zero-copy views and evaluate λ chunks.
+# multiprocessing fan-out: forked workers read the parent's plan, staged in
+# the task context, and evaluate whole tensors.
 # ---------------------------------------------------------------------------
-
-#: Worker-side plan rebuilt over arena views by :func:`_sweep_worker_init`.
-_WORKER_PLAN: Optional[MergePlan] = None
-_WORKER_VIEW = None
-
-
-def _sweep_worker_init(handle, metas) -> None:
-    """Pool initializer: attach the arena and rebuild the plan over views.
-
-    ``metas`` carries the λ-independent scalars (kind, shape, norms, Θ);
-    the (2, n) stacked buffers and excluded raw tensors are read straight
-    out of shared memory — the plan crosses the process border as a few
-    hundred bytes however large the models are.
-    """
-    global _WORKER_PLAN, _WORKER_VIEW
-    _WORKER_VIEW = handle.attach()
-    _WORKER_PLAN = MergePlan.from_view(_WORKER_VIEW, metas)
 
 
 def _sweep_tensor_key(key: str) -> np.ndarray:
-    """Evaluate one tensor's full λ sweep against the shared plan.
+    """Evaluate one tensor's full λ sweep against the inherited plan.
 
-    The sweep's λ points ride the fork-inherited task context rather than
-    each task's payload.  Parallelising over *tensors* (not λ blocks) keeps
-    every ``(L, n)`` GEMM identical to the serial call — BLAS picks
-    different kernels for different row counts (a lone λ row goes through
-    GEMV and drifts by an ULP), so splitting L would break bit-parity.
+    The plan and the sweep's λ points ride the fork-inherited task context
+    rather than each task's payload.  Parallelising over *tensors* (not λ
+    blocks) keeps every ``(L, n)`` GEMM identical to the serial call — BLAS
+    picks different kernels for different row counts (a lone λ row goes
+    through GEMV and drifts by an ULP), so splitting L would break
+    bit-parity.
     """
     from ..parallel import get_task_context
 
-    assert _WORKER_PLAN is not None, "worker initializer did not run"
-    lams = np.asarray(get_task_context()["sweep_lams"], dtype=np.float64)
-    return _WORKER_PLAN.tensors[key].evaluate_sweep(lams)
-
-
-def _merge_point(lam: float) -> "OrderedDict[str, np.ndarray]":
-    """Evaluate one λ against the shared plan: a full merged state dict."""
-    assert _WORKER_PLAN is not None, "worker initializer did not run"
-    merged: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for plan in _WORKER_PLAN:
-        merged[plan.key] = plan.evaluate(float(lam))
-    return merged
+    ctx = get_task_context()
+    lams = np.asarray(ctx["sweep_lams"], dtype=np.float64)
+    return ctx["sweep_plan"].tensors[key].evaluate_sweep(lams)
 
 
 class GeodesicMergeEngine:
@@ -418,10 +335,9 @@ class GeodesicMergeEngine:
         fnmatch patterns; matching tensors are copied from ``chip`` unmerged
         (mirrors :func:`~repro.core.merge.merge_state_dicts`).
     n_workers:
-        Default process fan-out for :meth:`sweep` / :meth:`isweep`.
-        ``None``/``1`` keeps everything in-process; >1 publishes the plan
-        into a shared-memory arena and forks a worker pool that evaluates
-        λ blocks against zero-copy views (worth it only for large state
+        Default process fan-out for :meth:`sweep`.  ``None``/``1`` keeps
+        everything in-process; >1 forks a worker pool that evaluates
+        tensors against the inherited plan (worth it only for large state
         dicts — results are pickled back).  Ignored where ``fork`` is
         unavailable.
     obs:
@@ -462,52 +378,12 @@ class GeodesicMergeEngine:
                 else:
                     tensors[key] = _plan_tensor(key, w_chip, w_instruct)
         self.plan = MergePlan(tensors)
-        self._arena = None
-        self._arena_metas: Optional[List[Tuple]] = None
         registry = self.obs.registry
         registry.counter("merge.plans").inc()
         registry.counter("merge.tensors_planned").inc(len(tensors))
         registry.counter("merge.params_planned").inc(self.plan.total_params)
         #: Bytes one λ evaluation streams: the (2, n) float64 row blocks.
         self._eval_bytes = self.plan.total_params * 2 * 8
-
-    def _shared_plan(self):
-        """Publish the plan into a shared-memory arena (once, lazily).
-
-        Returns a picklable ``(handle, metas)`` pair for the pool
-        initializer; the arena itself stays owned by the engine and is
-        reused across sweeps until :meth:`close`.
-        """
-        if self._arena is None:
-            from ..parallel import TensorArena
-
-            arena = TensorArena()
-            with self.obs.span("merge.arena_publish", tensors=len(self.plan)):
-                metas = self.plan.publish(arena)
-            self._arena = arena
-            self._arena_metas = metas
-            self.obs.registry.counter("merge.arena_bytes").inc(arena.nbytes)
-        return self._arena.handle(), self._arena_metas
-
-    def close(self) -> None:
-        """Release the shared-memory arena, if one was published
-        (idempotent; the engine stays usable for serial evaluation)."""
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
-            self._arena_metas = None
-
-    def __enter__(self) -> "GeodesicMergeEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def _account_evaluations(self, n_points: int) -> None:
         """Counter bookkeeping for ``n_points`` λ evaluations."""
@@ -589,9 +465,8 @@ class GeodesicMergeEngine:
         them as soon as it is evaluated and then dropped: the sweep is
         then never resident beyond one tensor's rows, and ``out`` is
         returned.  With ``n_workers > 1`` tensors are evaluated by a
-        worker pool against the shared-memory plan; results are
-        bit-identical to the serial path (per-λ parallelism with ordered
-        streaming is :meth:`isweep`'s job).
+        worker pool against the inherited plan; results are bit-identical
+        to the serial path.
         """
         from ..parallel import effective_workers
 
@@ -624,71 +499,23 @@ class GeodesicMergeEngine:
                             for plan in self.plan)
                 for index in range(len(lam_arr))]
 
-    def isweep(self, lams: Sequence[float], reuse_buffers: bool = False,
-               n_workers: Optional[int] = None,
-               ) -> Iterator[Tuple[float, "OrderedDict[str, np.ndarray]"]]:
-        """Yield ``(lam, merged_state_dict)`` lazily, one λ at a time.
-
-        With ``reuse_buffers=True`` every yield writes into the *same*
-        preallocated buffers — peak memory stays at one merged model no
-        matter how long the sweep, at the price that each yielded dict is
-        invalidated by the next step (consume it before advancing).
-
-        With ``n_workers > 1`` the λ points are evaluated against the
-        shared-memory plan by a worker pool and stream back **in λ order**
-        as they complete; results are bit-identical to the serial path.
-        Incompatible with ``reuse_buffers`` (each yielded dict is a fresh
-        result shipped from a worker, not a view into engine buffers).
-        """
-        from ..parallel import effective_workers
-
-        workers = effective_workers(
-            self.n_workers if n_workers is None else n_workers)
-        lam_list = [self._check_lam(lam) for lam in lams]
-        if workers > 1 and len(lam_list) > 1:
-            if reuse_buffers:
-                raise ValueError(
-                    "reuse_buffers is incompatible with n_workers > 1: "
-                    "pooled results arrive as fresh arrays, not buffer views")
-            yield from self._isweep_parallel(lam_list, workers)
-            return
-        out = self.new_buffers() if reuse_buffers else None
-        for lam in lam_list:
-            yield lam, self.merge(lam, out=out)
-
-    def _pool(self, workers: int):
-        from ..parallel import WorkerPool
-
-        handle, metas = self._shared_plan()
-        return WorkerPool(workers, initializer=_sweep_worker_init,
-                          initargs=(handle, metas), obs=self.obs)
-
     def _sweep_parallel(self, lam_arr: np.ndarray, workers: int,
                         ) -> Iterator[Tuple[str, np.ndarray]]:
-        """Fan tensors out to a pool evaluating against the shared plan,
+        """Fan tensors out to a pool evaluating against the inherited plan,
         yielding ``(key, rows)`` in plan order as they arrive.
 
         Each worker computes whole ``(L, n)`` row blocks — the same GEMM
         the serial path runs — so results are bit-identical however the
         tensors land on workers (see :func:`_sweep_tensor_key`).
         """
-        from ..parallel import task_context
+        from ..parallel import WorkerPool, task_context
 
         keys = self.plan.keys
-        with task_context(sweep_lams=tuple(float(lam) for lam in lam_arr)):
-            with self._pool(min(workers, len(keys))) as pool:
+        with task_context(sweep_plan=self.plan,
+                          sweep_lams=tuple(float(lam) for lam in lam_arr)):
+            with WorkerPool(min(workers, len(keys)), obs=self.obs) as pool:
                 done = 0
                 for _, parts in pool.imap_chunked(_sweep_tensor_key, keys):
                     for block in parts:
                         yield keys[done], block
                         done += 1
-
-    def _isweep_parallel(self, lam_list: List[float], workers: int,
-                         ) -> Iterator[Tuple[float, "OrderedDict[str, np.ndarray]"]]:
-        with self._pool(min(workers, len(lam_list))) as pool:
-            with self.obs.span("merge.isweep", points=len(lam_list),
-                               workers=workers):
-                for index, results in pool.imap_chunked(
-                        _merge_point, lam_list, chunk_size=1):
-                    self._account_evaluations(1)
-                    yield lam_list[index], results[0]

@@ -17,8 +17,6 @@ import numpy as np
 from ..data.mcq import DOMAINS, MCQItem
 from ..data.prompting import format_prompt
 from ..nn.generation import continuation_logprob
-from ..parallel import (WorkerPool, effective_workers, get_task_context,
-                        task_context)
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,8 @@ def choose(model, tokenizer, item: MCQItem) -> int:
 
 def _mcq_item(item: MCQItem) -> int:
     """Worker-side scoring: model/tokenizer ride the fork-inherited context."""
+    from ..parallel import get_task_context
+
     ctx = get_task_context()
     return choose(ctx["model"], ctx["tokenizer"], item)
 
@@ -60,6 +60,8 @@ def evaluate_mcq(model, tokenizer, items: Sequence[MCQItem],
     (model weights fork-inherited, never pickled); accuracies are
     bit-identical to the serial path.
     """
+    from ..parallel import WorkerPool, effective_workers, task_context
+
     if not items:
         raise ValueError("empty MCQ item set")
     workers = effective_workers(workers)

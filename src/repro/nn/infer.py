@@ -206,7 +206,7 @@ class InferenceEngine:
 
     The engine reads the model's own weight arrays — whatever
     ``model.parameter_arrays()`` returns (a :class:`TransformerLM`'s
-    parameters, or the arena views of a fleet replica's model) — and
+    parameters, or the inherited arrays of a fleet replica's model) — and
     holds no copy of its own, so serving a model costs no second model.
     The contract that buys: :meth:`~repro.nn.module.Module.load_state_dict`
     replaces the arrays, so rebuild the engine after loading new weights;

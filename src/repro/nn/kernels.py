@@ -752,7 +752,7 @@ def quantize_int8(weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``q`` exactly (``max|q| == 127`` whenever the row is non-zero, so the
     recovered scale is within 1 ulp of ``s`` and the re-rounded integers
     cannot move).  The fleet path does not even rely on that: quantized
-    state dicts are published and consumed verbatim, never re-quantized.
+    state dicts are shared and consumed verbatim, never re-quantized.
     """
     if weight.ndim != 2:
         raise ValueError(f"expected a 2-D weight, got shape {weight.shape}")
@@ -805,11 +805,11 @@ def quantize_state_dict(state: dict) -> dict:
     ``name + "::scale"`` float vector; norms (1-D) and the token embedding
     pass through as copies, so the result never aliases ``state`` — an int8
     engine owns its weights even when handed a model's live parameter
-    arrays.  The result is what the fleet publishes to the
-    shared-memory arena — roughly a quarter of the fp32 footprint — and
-    what :class:`~repro.serve.engine.BatchedEngine` consumes directly in
+    arrays.  The result is what an int8 fleet builds once, before forking,
+    and every replica inherits — roughly a quarter of the fp32 footprint —
+    and what :class:`~repro.serve.engine.BatchedEngine` consumes directly in
     int8 mode, so replicas never re-quantize (re-quantization is exact,
-    but using the published ``(q, s)`` verbatim makes parity structural).
+    but using the shared ``(q, s)`` verbatim makes parity structural).
     """
     if is_quantized_state(state):
         return state

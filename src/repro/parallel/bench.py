@@ -13,8 +13,8 @@ warm-up call of each arm is the parity pass.
 The headline target is a >= 2x speedup at 4 workers, but that is only
 physically reachable when the machine actually has that many cores, so on
 starved machines that gate is waived and the ``MIN_STARVED_RATIO``
-overhead bound applies instead.  Parity, the pool counters and the
-absence of leaked shared-memory segments are gated everywhere.
+overhead bound applies instead.  Parity and the pool counters are gated
+everywhere.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def run_parallel_benchmark(backbone: str = "grande", workers: int = 4,
     (pool counters included), and the ``header`` and ``gates``.
     """
     from ..eval.harness import run_openroad
-    from . import TensorArena, effective_workers
+    from . import effective_workers
 
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -101,12 +101,10 @@ def run_parallel_benchmark(backbone: str = "grande", workers: int = 4,
     serial, parallel = ({"seconds": s, "ms_per_item": s * 1e3 / n,
                          "items_per_sec": n / s} for s in timing.seconds)
     head = header()
-    leaked = TensorArena.live_segments()
     registry = obs.registry.snapshot()
     waiver = Gate.needs_cores(workers, "workers")
     gates = [
         Gate("parity_ok", parity_ok, True, "=="),
-        Gate("leaked_segments", len(leaked), 0, "=="),
         Gate("registry.parallel.*", sum(name.startswith("parallel.")
                                         for name in registry), 0, ">"),
         *Gate.speedup(timing.ratio, SPEEDUP_TARGET, MIN_STARVED_RATIO,
@@ -128,7 +126,6 @@ def run_parallel_benchmark(backbone: str = "grande", workers: int = 4,
         "speedup_target": SPEEDUP_TARGET,
         "target_applies": waiver is None,
         "parity_ok": parity_ok,
-        "leaked_segments": leaked,
         "registry": registry,
     }
 

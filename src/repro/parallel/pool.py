@@ -33,10 +33,10 @@ absorbed — exactly once, keyed by task identity — into the pool's parent
 handle.  Serial fallbacks push the parent handle via :func:`task_obs`, so
 item functions are written once and record correctly in both modes.
 
-Large read-only inputs should not travel through task pickles: publish
-them in a :class:`~repro.parallel.arena.TensorArena` (any start method) or
-stage them in module globals under :func:`task_context` before the pool
-forks (fork inheritance, zero-copy).
+Large read-only inputs should not travel through task pickles: stage them
+under :func:`task_context` before the pool forks, and every worker reads
+the parent's own objects — inherited across the fork, never copied or
+pickled.
 """
 
 from __future__ import annotations
@@ -155,9 +155,7 @@ def _maybe_export(obs: Observability) -> Optional[Dict[str, object]]:
     return exported
 
 
-def _worker_main(conn, events, initializer, initargs) -> None:
-    if initializer is not None:
-        initializer(*initargs)
+def _worker_main(conn, events) -> None:
     events.send(READY)
     while True:
         task = conn.recv()
@@ -203,10 +201,6 @@ class WorkerPool:
     ----------
     n_workers:
         Worker process count (>= 1).
-    initializer, initargs:
-        Run once in every (re)spawned worker before it accepts tasks —
-        e.g. attaching a :class:`~repro.parallel.arena.ArenaHandle`.
-        Must be picklable (module-level function, plain-data args).
     task_timeout:
         Default per-task (per-chunk) wall-clock budget in seconds; a task
         over budget has its worker killed and is retried.  ``None`` waits
@@ -220,8 +214,7 @@ class WorkerPool:
         snapshot (absorbed exactly once).  Private when omitted.
     """
 
-    def __init__(self, n_workers: int, *, initializer: Optional[Callable] = None,
-                 initargs: Tuple = (), task_timeout: Optional[float] = None,
+    def __init__(self, n_workers: int, *, task_timeout: Optional[float] = None,
                  max_retries: int = MAX_RETRIES,
                  obs: Optional[Observability] = None) -> None:
         if n_workers < 1:
@@ -244,7 +237,7 @@ class WorkerPool:
         self._next_task_id = 0
         self._closed = False
         self._supervisor = ProcessSupervisor(
-            _worker_main, lambda slot: (initializer, initargs), n_workers,
+            _worker_main, lambda slot: (), n_workers,
             self._handle_result, budget=n_workers * (max_retries + 2),
             exhausted=lambda budget: ParallelTaskError(
                 "workers keep dying faster than the pool may respawn "
@@ -260,7 +253,7 @@ class WorkerPool:
         Items travel in chunks of ``chunk_size`` (default: ~4 chunks per
         worker) — the unit of dispatch, timeout, and retry.  ``fn`` must be
         a module-level (picklable) function of one item; big shared inputs
-        belong in :func:`task_context` or a ``TensorArena``, not in items.
+        belong in :func:`task_context`, not in items.
         The returned list is in input order regardless of completion order.
         """
         flat: List = []

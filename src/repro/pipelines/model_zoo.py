@@ -25,7 +25,6 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import merge_engine as merge_engine_mod
 from ..core.merge_engine import GeodesicMergeEngine
 from ..core.registry import merge as registry_merge
 from ..data import (eda_domain, industrial_qa, openroad_qa)
@@ -342,8 +341,8 @@ class ModelZoo:
 
         Returns ``[(lam, overall ROUGE-L), ...]`` in λ order.  With
         ``workers > 1`` each candidate is rebuilt from the family engine's
-        shared-memory plan and evaluated in a worker process; scores are
-        bit-identical to the serial path.
+        plan, inherited across the fork, and evaluated in a worker process;
+        scores are bit-identical to the serial path.
         """
         if triplets is None:
             triplets = openroad_qa.eval_triplets()
@@ -356,7 +355,8 @@ class ModelZoo:
         """A :class:`~repro.serve.lambda_fleet.LambdaFleetServer` over this
         family's cached merge plan.
 
-        All variants share the family engine's one arena-resident plan;
+        All variants share the family engine's one plan, which the fleet's
+        replicas inherit;
         ``variants`` are :class:`~repro.serve.lambda_fleet.VariantSpec`
         entries and ``kwargs`` forward to the fleet constructor
         (``serve_config``, ``replicas_per_variant``, ``variant_of``, ...).
@@ -385,19 +385,15 @@ class ModelZoo:
 def _candidate_item(lam: float) -> float:
     """Build one merged candidate and score it on OpenROAD QA.
 
-    In a pool worker the state dict comes from the shared-memory plan
-    (:func:`repro.core.merge_engine._merge_point`); in the serial fallback
-    from the engine itself.  Both evaluate the identical per-λ math, so
-    scores match bit-for-bit.
+    The engine rides the task context: a pool worker merges against the
+    plan it inherited across the fork, the serial fallback against the
+    parent's, with the identical per-λ math, so scores match bit-for-bit.
     """
     from ..eval.harness import LMAnswerer, run_openroad
     from ..parallel import get_task_context, worker_obs
 
     ctx = get_task_context()
-    if merge_engine_mod._WORKER_PLAN is not None:
-        merged_sd = merge_engine_mod._merge_point(lam)
-    else:
-        merged_sd = ctx["engine"].merge(lam)
+    merged_sd = ctx["engine"].merge(lam)
     model = TransformerLM(ctx["config"])
     model.load_state_dict(dict(merged_sd))
     model.eval()
@@ -415,9 +411,9 @@ def evaluate_merged_candidates(engine: GeodesicMergeEngine, config,
                                ) -> List[Tuple[float, float]]:
     """Score merge candidates at each λ (overall OpenROAD ROUGE-L).
 
-    With ``workers > 1`` the engine's plan is published to shared memory
-    once and each worker rebuilds + evaluates candidates against zero-copy
-    views; per-candidate eval metrics ship back into ``engine.obs``.
+    With ``workers > 1`` each forked worker rebuilds and evaluates
+    candidates against the engine's plan as it inherited it; per-candidate
+    eval metrics ship back into ``engine.obs``.
     """
     from ..parallel import (WorkerPool, effective_workers, task_context,
                             task_obs)
@@ -431,14 +427,12 @@ def evaluate_merged_candidates(engine: GeodesicMergeEngine, config,
                           triplets=tuple(triplets),
                           max_new_tokens=max_new_tokens):
             if workers > 1 and len(lams) > 1:
-                handle, metas = engine._shared_plan()
-                with WorkerPool(workers,
-                                initializer=merge_engine_mod._sweep_worker_init,
-                                initargs=(handle, metas), obs=obs) as pool:
+                with WorkerPool(workers, obs=obs) as pool:
                     scores = pool.map_chunked(_candidate_item, lams,
                                               chunk_size=1)
                 # serial candidates account per merge() call; pooled merges
-                # happen off-engine, so settle the books here.
+                # count in the workers' copies of the engine, so settle the
+                # books here.
                 engine._account_evaluations(len(lams))
             else:
                 with task_obs(obs):

@@ -25,7 +25,7 @@ See DESIGN.md §6 and ``repro serve-bench`` for the benchmark workflow.
 The network front door — real sockets, streaming, multi-tenant admission
 control — lives in :mod:`repro.serve.net` (DESIGN.md §9, ``repro
 serve-net`` / ``repro bench net``).  Multi-process replica serving
-over one shared-memory weight copy lives in :mod:`repro.serve.fleet`
+over one inherited weight copy lives in :mod:`repro.serve.fleet`
 (DESIGN.md §10, ``repro serve-fleet`` / ``repro bench fleet``).
 
 Cheap-decode serving — int8 weights (``ServeConfig(weight_mode="int8")``),
@@ -36,7 +36,7 @@ paged KV allocation (``kv_mode="paged"``), and speculative decoding
 streams byte-identical to exact fp32 dense decoding.
 
 The λ-fleet — many merged-model variants (scalar λ, per-layer schedules,
-Karcher weights) materialized lazily from one arena-resident
+Karcher weights) materialized lazily from one inherited
 :class:`~repro.core.merge_engine.MergePlan`, with variant-aware routing
 and quality-driven promotion — lives in :mod:`repro.serve.lambda_fleet`
 (DESIGN.md §12, ``repro bench lambda``).

@@ -257,7 +257,7 @@ def run_decode_benchmark(target_backbone: str = "grande",
     kv_dense = _kv_profile(target, kv_load, "dense", 16)
     kv_paged = _kv_profile(target, kv_load, "paged", 16)
 
-    # Weight memory: the arena/published copy an int8 fleet shares.
+    # Weight memory: the quantized copy an int8 fleet's replicas inherit.
     state = target.state_dict()
     fp32_bytes = int(sum(a.nbytes for a in state.values()))
     int8_bytes = int(sum(a.nbytes

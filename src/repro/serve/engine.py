@@ -59,8 +59,8 @@ Orthogonal to the decode mode, two cheap-serve axes (DESIGN.md §11):
     persistent fp32 matrix.  Prefill and the exact decode path run on the
     *dequantized* weights, which makes exact mode the byte-level oracle
     for the quantized model (see :func:`dequantized_oracle_model`).  A
-    model whose ``parameter_arrays()`` is already quantized (the fleet's
-    arena-published form) is consumed verbatim, never re-quantized.
+    model whose ``parameter_arrays()`` is already quantized (what an int8
+    fleet's replicas inherit) is consumed verbatim, never re-quantized.
 ``kv_mode="paged"``
     Fused-mode KV storage is carved into fixed-size blocks handed out by a
     reference-counted :class:`~repro.serve.cache.BlockPool`, so a slot
@@ -112,8 +112,9 @@ class _StateModel:
 
     :class:`~repro.nn.infer.InferenceEngine` only ever reads ``.config``
     and ``.parameter_arrays()``, so this shim lets the engine be built from
-    a transformed weight set — the dequantized twin of an int8 model —
-    without materialising a TransformerLM.
+    a transformed weight set — the dequantized twin of an int8 model, the
+    quantization an int8 fleet's replicas inherit — without materialising
+    a TransformerLM.
     """
 
     __slots__ = ("config", "_state")

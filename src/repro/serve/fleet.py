@@ -1,14 +1,15 @@
-"""Replica-fleet serving over shared-memory weights (ROADMAP open item 2).
+"""Replica-fleet serving over inherited weights (ROADMAP open item 2).
 
-One host, one copy of the weights, N engines: :class:`FleetServer` publishes
-the model's state dict in a :class:`~repro.parallel.TensorArena` and forks N
+One host, one copy of the weights, N engines: :class:`FleetServer` forks N
 replica processes, each running its own
 :class:`~repro.serve.engine.BatchedEngine` + continuous-batching
-:class:`~repro.serve.scheduler.Scheduler` over **zero-copy read-only views**
-of the published tensors (an :class:`ArenaBackedModel` shim hands the arena
-views to the engine, which reads weights in place, so no replica ever
-copies the weights).  The parent routes requests, streams token events
-back, and re-merges per-replica metric registries into a fleet view.
+:class:`~repro.serve.scheduler.Scheduler` over the **parent's own model**,
+inherited across the fork.  The engine reads ``parameter_arrays()`` in
+place and nothing writes them, so the pages stay shared copy-on-write and
+no replica ever copies the weights.  An int8 fleet quantizes once, in the
+parent, before forking, and every replica serves that one quantization.
+The parent routes requests, streams token events back, and re-merges
+per-replica metric registries into a fleet view.
 
 Routing is consistent-hash affinity (:class:`HashRing`): a request keyed by
 its session id — or, absent a session, its first ``affinity_prefix_tokens``
@@ -26,20 +27,20 @@ detects a dead replica; respawn first harvests what it sent before dying
 (completions it finished are kept), then its remaining in-flight requests
 are requeued at the front of the router — a ``done`` counts only from the
 epoch the request is dispatched to, so no request is lost *or*
-double-answered — and a fresh replica is forked from the arena handle.
-Respawn never re-publishes weights.
+double-answered — and a fresh replica is forked, inheriting the same
+weights again.  Respawn never copies or re-quantizes weights.
 
-What a replica builds from the arena is described by a small picklable
-*source* object (:class:`ArenaWeightsSource` here;
-:class:`~repro.serve.lambda_fleet.VariantSource` materializes a merged-model
-variant from a shared :class:`~repro.core.merge_engine.MergePlan` instead),
-so subclasses can serve heterogeneous replicas from one arena without
-touching the fork/respawn machinery.  Speculative decoding rides the same
-plumbing: pass ``draft_model=`` and its (int8-quantized when serving int8)
-state dict is published alongside the target; each replica rebuilds a
-draft :class:`~repro.nn.infer.InferenceEngine` from the view — exact
-accept/reject keeps fleet output byte-identical to in-process serving
-whatever the draft weights.
+Which model a replica serves is :meth:`FleetServer._model_for`'s answer, so
+subclasses can serve heterogeneous replicas without touching the
+fork/respawn machinery: the
+:class:`~repro.serve.lambda_fleet.LambdaFleetServer` hands each replica a
+:class:`~repro.serve.lambda_fleet.LazyMergedModel` that realizes its
+variant from the parent's :class:`~repro.core.merge_engine.MergePlan`.
+Speculative decoding rides the same path: pass ``draft_model=`` and every
+replica builds a draft :class:`~repro.nn.infer.InferenceEngine` over the
+inherited draft (its quantize-dequantize twin, built once in the parent,
+when serving int8) — exact accept/reject keeps fleet output byte-identical
+to in-process serving whatever the draft weights.
 
 :class:`FleetServer` mirrors the :class:`~repro.serve.server.InProcessServer`
 surface (``submit`` / ``step`` / ``run_until_idle`` / ``complete`` /
@@ -58,21 +59,14 @@ from collections import OrderedDict, deque
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from ..nn.transformer import TransformerConfig
+from ..nn.infer import InferenceEngine
+from ..nn.kernels import quantize_state_dict
 from ..obs import Observability
-from ..parallel.arena import ArenaHandle, TensorArena
 from ..parallel.pool import POLL_INTERVAL
 from ..parallel.supervisor import READY, ProcessSupervisor
+from .engine import BatchedEngine, _StateModel, dequantized_oracle_model
 from .request import Completion, FinishReason, Request, RequestStatus, SamplingParams
-from .scheduler import ServeConfig
-
-#: Arena key prefix the fleet publishes model weights under.
-WEIGHTS_PREFIX = "fleet.weights"
-
-#: Arena key prefix for the speculative-decoding draft model's weights.
-DRAFT_PREFIX = "fleet.draft"
+from .scheduler import Scheduler, ServeConfig
 
 #: Default per-replica in-flight bound, in multiples of ``max_batch_size``
 #: (one batch decoding plus one batch queued keeps admission snappy without
@@ -86,80 +80,6 @@ ROUTER_WAIT = 0.005
 
 class FleetError(RuntimeError):
     """The fleet cannot make progress (respawn budget exhausted)."""
-
-
-# ---------------------------------------------------------------------------
-# shared-weight model shim
-# ---------------------------------------------------------------------------
-
-
-class ArenaBackedModel:
-    """Duck-typed stand-in for a ``TransformerLM`` whose weights are the
-    arena's read-only zero-copy views.
-
-    :class:`~repro.nn.infer.InferenceEngine` reads whatever arrays
-    ``model.parameter_arrays()`` returns, in place — for a ``TransformerLM``
-    its own parameters, here the published tensors — so every replica's
-    engine reads the one published weight copy and a host holds one copy
-    of the weights however many replicas it runs.  The views are read-only
-    and nothing trains them, so the engine contract (never update a model
-    in place under a live engine) holds by construction.
-    """
-
-    def __init__(self, config: TransformerConfig,
-                 tensors: Dict[str, np.ndarray]) -> None:
-        self.config = config
-        self._tensors = tensors
-
-    def parameter_arrays(self) -> Dict[str, np.ndarray]:
-        return dict(self._tensors)
-
-
-class ArenaWeightsSource:
-    """Picklable recipe for a replica's engine model: read the published
-    state dict (possibly already int8-quantized) as zero-copy views.
-
-    Sources are what cross the fork instead of weights: a few hundred bytes
-    describing *how* to build a model from the attached
-    :class:`~repro.parallel.arena.ArenaView`.  Subfleets substitute richer
-    sources (lazy merged-variant materialization) without changing the
-    replica loop.
-    """
-
-    def __init__(self, config_dict: Dict[str, object],
-                 prefix: str = WEIGHTS_PREFIX) -> None:
-        self.config_dict = config_dict
-        self.prefix = prefix
-
-    def materialize(self, view) -> ArenaBackedModel:
-        return ArenaBackedModel(TransformerConfig.from_dict(self.config_dict),
-                                view.get_dict(self.prefix))
-
-
-class ArenaDraftSource:
-    """Picklable recipe for a replica's speculative-decoding draft model.
-
-    The published draft state may be int8-quantized (it is whenever the
-    fleet serves int8); the replica then dequantizes into a private copy —
-    drafts are small — and runs the full-precision
-    :class:`~repro.nn.infer.InferenceEngine` over it.  Exact accept/reject
-    verifies every proposal against the target with the request's own rng,
-    so draft weights never change output bytes, only the acceptance rate.
-    """
-
-    def __init__(self, config_dict: Dict[str, object],
-                 prefix: str = DRAFT_PREFIX) -> None:
-        self.config_dict = config_dict
-        self.prefix = prefix
-
-    def materialize(self, view) -> ArenaBackedModel:
-        from ..nn.kernels import dequantize_state_dict, is_quantized_state
-
-        state = view.get_dict(self.prefix)
-        if is_quantized_state(state):
-            state = dequantize_state_dict(state)
-        return ArenaBackedModel(TransformerConfig.from_dict(self.config_dict),
-                                dict(state))
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +136,37 @@ def affinity_key(request: Request, prefix_tokens: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _replica_main(conn, events, handle: ArenaHandle, source, draft_source,
-                  serve_config: ServeConfig, eos_id: Optional[int]) -> None:
-    """One replica: attach the arena, build an engine, serve the pipes.
+def _replica_engine(model, serve_config: ServeConfig) -> BatchedEngine:
+    """The engine a replica serves ``model`` with, reading its arrays in
+    place (an int8 engine keeps the quantized arrays it is handed)."""
+    state = model.parameter_arrays()
+    release = getattr(model, "release", None)
+    if release is not None:
+        # A lazily merged variant, just realized: drop the model's memo so
+        # ``state`` holds the one copy (an int8 replica then frees its fp32
+        # source before the engine allocates its dequantized twin).
+        release()
+    if serve_config.weight_mode == "int8":
+        # The identity for a plain int8 fleet, whose parent quantized once,
+        # before forking: the engine consumes those (int8, ``::scale``)
+        # pairs verbatim, so every replica serves the identical weights.
+        state = quantize_state_dict(state)
+    return BatchedEngine(_StateModel(model.config, state),
+                         decode_mode=serve_config.decode_mode,
+                         max_batch_size=serve_config.max_batch_size,
+                         weight_mode=serve_config.weight_mode,
+                         kv_mode=serve_config.kv_mode,
+                         kv_block_tokens=serve_config.kv_block_tokens)
 
-    ``source`` (and the optional ``draft_source``) describe how to turn the
-    attached arena view into this replica's models — zero-copy views of a
-    published state dict for a plain fleet, lazy merged-variant
-    materialization for a λ-fleet.
+
+def _replica_main(conn, events, model, draft_model,
+                  serve_config: ServeConfig, eos_id: Optional[int]) -> None:
+    """One replica: build an engine over the inherited model, serve the pipes.
+
+    ``model`` (and the optional ``draft_model``) are the parent's own
+    objects, inherited across the fork: the served model for a plain fleet
+    (already quantized when serving int8), a lazily merged variant for a
+    λ-fleet.
 
     Runs under :class:`~repro.parallel.supervisor.ProcessSupervisor`:
     commands (``submit`` / ``cancel`` / ``metrics``, ``None`` to stop)
@@ -232,23 +175,10 @@ def _replica_main(conn, events, handle: ArenaHandle, source, draft_source,
     handshake.  Events carry no replica id or epoch: the parent stamps
     both from the channel they arrive on.
     """
-    from ..nn.infer import InferenceEngine
-    from .engine import BatchedEngine
-    from .scheduler import Scheduler
-
-    view = handle.attach()
-    model = source.materialize(view)
     obs = Observability()
-    # In int8 mode the materialized tensors are already quantized (int8 +
-    # ``::scale`` vectors); the engine detects that and consumes them
-    # verbatim, so every replica serves the identical quantization.
-    engine = BatchedEngine(model, decode_mode=serve_config.decode_mode,
-                           max_batch_size=serve_config.max_batch_size,
-                           weight_mode=serve_config.weight_mode,
-                           kv_mode=serve_config.kv_mode,
-                           kv_block_tokens=serve_config.kv_block_tokens)
-    draft_engine = (InferenceEngine(draft_source.materialize(view))
-                    if draft_source is not None else None)
+    engine = _replica_engine(model, serve_config)
+    draft_engine = (InferenceEngine(draft_model)
+                    if draft_model is not None else None)
     scheduler = Scheduler(engine, config=serve_config, eos_id=eos_id,
                           obs=obs, draft_engine=draft_engine)
 
@@ -350,13 +280,15 @@ class _FleetScheduler:
 
 
 class FleetServer:
-    """N arena-backed engine replicas behind a consistent-hash router.
+    """N engine replicas over inherited weights behind a consistent-hash
+    router.
 
     Parameters
     ----------
     model:
-        A ``TransformerLM``; its state dict is published to shared memory
-        once, here, and never again (respawns re-attach the same handle).
+        A ``TransformerLM``; every replica, respawns included, serves this
+        object's own arrays, inherited across the fork (int8 fleets serve
+        its quantization, made once, here).
     tokenizer / serve_config / clock / eos_id / obs:
         As in :class:`~repro.serve.server.InProcessServer`.  ``serve_config``
         applies per replica (each runs its own scheduler, prefix cache, and
@@ -365,10 +297,9 @@ class FleetServer:
         Engine replica count (>= 1).
     draft_model:
         Draft ``TransformerLM`` for speculative decoding; required when
-        ``serve_config.speculative_tokens > 0``.  Its state dict is
-        published to the arena alongside the target (int8-quantized when
-        serving int8) and every replica rebuilds a draft engine from the
-        shared copy.
+        ``serve_config.speculative_tokens > 0``.  Every replica builds a
+        draft engine over the inherited draft (over its quantize-dequantize
+        twin, built once here, when serving int8).
     affinity_prefix_tokens:
         Prompt-head length used as the routing key for sessionless requests.
         Keep it <= ``serve_config.prefix_min_tokens`` when byte parity with
@@ -392,9 +323,8 @@ class FleetServer:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
         if serve_config.speculative_tokens > 0 and draft_model is None:
             raise ValueError(
-                "speculative_tokens > 0 requires a draft_model: the fleet "
-                "publishes its state dict to the arena so every replica can "
-                "rebuild a draft engine")
+                "speculative_tokens > 0 requires a draft_model: every "
+                "replica builds a draft engine over it")
         self.n_replicas = n_replicas
         self.tokenizer = tokenizer
         if eos_id is None and tokenizer is not None:
@@ -408,11 +338,18 @@ class FleetServer:
             max_inflight_per_replica if max_inflight_per_replica is not None
             else serve_config.max_batch_size * INFLIGHT_FACTOR)
 
-        self._arena = TensorArena()
-        self._source = self._publish_model(model)
-        self._draft_source = (self._publish_draft(draft_model)
-                              if draft_model is not None else None)
-        self._handle = self._arena.handle()
+        if serve_config.weight_mode == "int8":
+            # Quantize once, before forking: every replica inherits the one
+            # set of int8 matrices and scale vectors (~28% of fp32).  The
+            # draft's quantize-dequantize twin is shared the same way;
+            # exact accept/reject keeps output bytes immune to it.
+            if model is not None:
+                model = _StateModel(model.config, quantize_state_dict(
+                    model.parameter_arrays()))
+            if draft_model is not None:
+                draft_model = dequantized_oracle_model(draft_model)
+        self._model = model
+        self._draft_model = draft_model
         self._ring = HashRing(range(n_replicas))
         self._replicas = [_Replica(i) for i in range(n_replicas)]
 
@@ -445,45 +382,17 @@ class FleetServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _publish_model(self, model) -> ArenaWeightsSource:
-        """Publish the served weights once; return the per-replica source.
-
-        Overridable: a λ-fleet publishes a shared ``MergePlan`` instead of a
-        state dict and hands each replica a variant-materializing source.
-        """
-        state = model.parameter_arrays()
-        if self.config.weight_mode == "int8":
-            # Publish the quantized form: int8 matrices plus per-channel
-            # scale vectors.  The shared segment shrinks to ~28% of fp32
-            # and every replica consumes the identical (q, s) pairs —
-            # quantization happens once, here, never per replica.
-            from ..nn.kernels import quantize_state_dict
-            state = quantize_state_dict(state)
-        self._arena.publish_dict(WEIGHTS_PREFIX, state)
-        return ArenaWeightsSource(model.config.to_dict())
-
-    def _publish_draft(self, draft_model) -> ArenaDraftSource:
-        """Publish the speculative draft's weights (quantized when serving
-        int8 — replicas dequantize a private copy; output bytes are immune
-        to draft weights by exact accept/reject)."""
-        state = draft_model.parameter_arrays()
-        if self.config.weight_mode == "int8":
-            from ..nn.kernels import quantize_state_dict
-            state = quantize_state_dict(state)
-        self._arena.publish_dict(DRAFT_PREFIX, state)
-        return ArenaDraftSource(draft_model.config.to_dict())
-
-    def _source_for(self, replica_id: int):
-        """The model source replica ``replica_id`` builds from (overridable;
-        the base fleet is homogeneous)."""
-        return self._source
+    def _model_for(self, replica_id: int):
+        """The model replica ``replica_id`` serves (overridable; the base
+        fleet is homogeneous)."""
+        return self._model
 
     def _replica_args(self, replica_id: int) -> Tuple:
-        return (self._handle, self._source_for(replica_id),
-                self._draft_source, self.config, self.eos_id)
+        return (self._model_for(replica_id), self._draft_model, self.config,
+                self.eos_id)
 
     def close(self) -> None:
-        """Stop replicas, fold their final metrics in, free the arena."""
+        """Stop replicas and fold their final metrics in."""
         if self._closed:
             return
         self._closed = True
@@ -494,7 +403,6 @@ class FleetServer:
         for rep, channel in zip(self._replicas, self._supervisor.channels):
             self._absorb_replica(rep, channel.generation)
         self._supervisor.close()
-        self._arena.close()
 
     def __enter__(self) -> "FleetServer":
         return self

@@ -4,10 +4,10 @@ Four phases, extending the fleet benchmark's methodology to the variant
 dimension:
 
 1. **Memory** — the headline residency gate, asserted unconditionally.
-   One :class:`~repro.core.merge_engine.MergePlan` is published to the
-   arena and its payload bytes are compared against one fp32 model's
-   state-dict bytes and against the naive deployment (K full merged
-   copies).  The float32-row plan must stay within
+   The fleet parent holds one :class:`~repro.core.merge_engine.MergePlan`,
+   which every replica inherits; its resident bytes are compared against
+   one fp32 model's state-dict bytes and against the naive deployment (K
+   full merged copies).  The float32-row plan must stay within
    :data:`PLAN_BYTES_LIMIT` × one model — all K variants ride that one
    footprint.
 2. **Parity** — the correctness gate, asserted unconditionally.  A
@@ -147,9 +147,8 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
     """
     from ..core.merge_engine import GeodesicMergeEngine
     from ..nn.transformer import TransformerLM, preset_config
-    from ..parallel import TensorArena
-    from .lambda_fleet import (PLAN_PREFIX, LambdaFleetServer,
-                               LazyMergedModel, materialize_variant)
+    from .lambda_fleet import (LambdaFleetServer, LazyMergedModel,
+                               materialize_variant)
     from .server import InProcessServer
 
     if repeats < 1:
@@ -171,21 +170,9 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
     n_requests = len(workload)
     total_tokens = n_requests * max_new_tokens
 
-    # Phase 1 — residency: one published plan vs K materialized copies.
-    model_bytes = sum(v.nbytes for v in chip.parameter_arrays().values())
-    with TensorArena() as probe:
-        engine.plan.publish(probe, prefix=PLAN_PREFIX)
-        plan_bytes = probe.nbytes_for(PLAN_PREFIX)
-    memory = {
-        "model_bytes": model_bytes,
-        "plan_bytes": plan_bytes,
-        "naive_bytes": n_variants * model_bytes,
-        "plan_over_model": plan_bytes / model_bytes,
-        "plan_over_naive": plan_bytes / (n_variants * model_bytes),
-        "limit": PLAN_BYTES_LIMIT,
-    }
-
-    # Phase 2 — byte parity: λ-fleet vs per-variant materialized oracles.
+    # Phases 1 and 2 — residency (the fleet parent's one plan vs K
+    # materialized copies) and byte parity (the λ-fleet vs per-variant
+    # materialized oracles).
     exact = ServeConfig(max_batch_size=4, decode_mode="exact",
                         prefix_cache=False)
     oracles = {spec.name: InProcessServer(
@@ -194,8 +181,18 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
     want = _drive_oracles(oracles, workload, "parity")
     with LambdaFleetServer(engine, config, variants, serve_config=exact,
                            replicas_per_variant=replicas_per_variant) as fleet:
+        plan_bytes = fleet.plan_bytes()
         got = _drive_lambda_fleet(fleet, workload, "parity")
     parity_ok = got == want
+    model_bytes = sum(v.nbytes for v in chip.parameter_arrays().values())
+    memory = {
+        "model_bytes": model_bytes,
+        "plan_bytes": plan_bytes,
+        "naive_bytes": n_variants * model_bytes,
+        "plan_over_model": plan_bytes / model_bytes,
+        "plan_over_naive": plan_bytes / (n_variants * model_bytes),
+        "limit": PLAN_BYTES_LIMIT,
+    }
 
     # Phase 3 — cold start: plan materialization vs the eager merge.
     cold = {}
@@ -239,7 +236,6 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
                               for s in timing.seconds)
     replicas = len(variants) * replicas_per_variant
     head = header()
-    leaked = TensorArena.live_segments()
     speedup_target = SPEEDUP_TARGET * replicas / 4
     waiver = Gate.needs_cores(replicas, "replicas")
     gates = [
@@ -251,7 +247,6 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
         Gate("respawns", snapshot["respawns"], 0, "=="),
         Gate("router.conservation_ok", snapshot["router"]["conservation_ok"],
              1, "=="),
-        Gate("leaked_segments", len(leaked), 0, "=="),
         *Gate.speedup(timing.ratio, speedup_target, MIN_STARVED_RATIO,
                       waiver),
     ]
@@ -281,7 +276,6 @@ def run_lambda_benchmark(backbone: str = "nano", n_variants: int = 8,
         "variants": {name: {"spec": entry["spec"],
                             "finished": entry["finished"]}
                      for name, entry in variant_report.items()},
-        "leaked_segments": leaked,
     }
 
 

@@ -1,20 +1,20 @@
-"""λ-fleet: serve many merged-model variants from one arena-resident plan.
+"""λ-fleet: serve many merged-model variants from one resident plan.
 
 The paper's artifact is a one-parameter *family* of models (geodesic
 interpolation over λ, Fig. 8), but classic serving materializes a full
 state dict per variant — K variants cost K weight copies and K cold
 starts.  This module collapses that: the λ-independent half of the merge
 (the :class:`~repro.core.merge_engine.MergePlan` — norms, angles, stacked
-raw endpoint tensors) is published into the shared-memory
-:class:`~repro.parallel.TensorArena` **once**, and every variant's weights
-are realized lazily, tensor-by-tensor, from zero-copy views of that plan.
+raw endpoint tensors) is held **once**, by the parent, and every replica
+inherits it across the fork and realizes its variant's weights lazily,
+tensor-by-tensor, from the plan's own rows (:class:`LazyMergedModel`).
 
 Residency math: the plan stores the two float32 endpoints' rows as float32
 from planning on (float32 → float64 is exact; see
-:meth:`MergePlan.publish`), so **K variants stay resident at ~2x one
-model's arena bytes** instead of K×.  Evaluation upcasts to float64 and
-runs the exact engine math, so every materialized variant is bit-identical
-to its oracle:
+:attr:`~repro.core.merge_engine.TensorPlan.stacked64`), so **K variants
+stay resident at ~2x one model's bytes** instead of K×.  Evaluation upcasts
+to float64 and runs the exact engine math, so every materialized variant is
+bit-identical to its oracle:
 
 ========== ====================================================== ========
 kind        oracle                                                 parity
@@ -38,16 +38,16 @@ offline λ sweep becomes an online canary loop where the default variant
 follows measured quality.
 
 Variants can serve cheap: with ``ServeConfig(weight_mode="int8")`` each
-replica quantizes its freshly materialized variant through the PR-8
-:func:`~repro.nn.kernels.quantize_state_dict` path — identical fp32 input
-bits on every replica, hence identical quantized weights fleet-wide.
+replica's engine quantizes its freshly materialized variant through
+:func:`~repro.nn.kernels.quantize_state_dict` — identical fp32 input bits
+on every replica, hence identical quantized weights fleet-wide.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +57,8 @@ from ..core.merge_engine import (KIND_EXCLUDED, KIND_ZERO,
                                  GeodesicMergeEngine, MergePlan)
 from ..nn.tensor import get_default_dtype
 from ..nn.transformer import TransformerConfig
-from .fleet import ArenaBackedModel, FleetServer, HashRing, affinity_key
+from .fleet import FleetServer, HashRing, affinity_key
 from .request import Request, RequestStatus
-
-#: Arena key prefix a λ-fleet publishes the shared MergePlan under.
-PLAN_PREFIX = "fleet.plan"
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +192,10 @@ class LazyMergedModel:
 
     ``parameter_arrays()`` materializes the variant on first call (through
     :func:`materialize_variant`) and memoizes; until then the model costs
-    nothing beyond its spec.  Engines read those arrays in place, so
-    :meth:`release` after building an engine drops only the model's
-    reference — the engine keeps the one resident copy alive.
+    nothing beyond its spec — which is what a λ-fleet replica inherits.
+    Engines read those arrays in place, so :meth:`release` after building
+    an engine drops only the model's reference — the engine keeps the one
+    resident copy alive.
     """
 
     def __init__(self, config: TransformerConfig, plan: MergePlan,
@@ -221,42 +219,13 @@ class LazyMergedModel:
         self._state = None
 
 
-class VariantSource:
-    """Picklable replica-side recipe: rebuild the plan from the arena view,
-    materialize this replica's variant, quantize if serving int8.
-
-    The fork ships metas + spec (a few hundred bytes); the weights never
-    cross — each replica reads the one published plan and realizes its own
-    private variant copy.  Identical fp32 inputs quantize identically, so
-    all replicas of a variant serve the same bytes.
-    """
-
-    def __init__(self, config_dict: Dict[str, object], metas: List[Tuple],
-                 spec: VariantSpec, weight_mode: str = "fp32",
-                 prefix: str = PLAN_PREFIX) -> None:
-        self.config_dict = config_dict
-        self.metas = metas
-        self.spec = spec
-        self.weight_mode = weight_mode
-        self.prefix = prefix
-
-    def materialize(self, view) -> ArenaBackedModel:
-        plan = MergePlan.from_view(view, self.metas, prefix=self.prefix)
-        state = materialize_variant(plan, self.spec)
-        if self.weight_mode == "int8":
-            from ..nn.kernels import quantize_state_dict
-            state = quantize_state_dict(state)
-        return ArenaBackedModel(TransformerConfig.from_dict(self.config_dict),
-                                dict(state))
-
-
 # ---------------------------------------------------------------------------
 # the variant-aware fleet
 # ---------------------------------------------------------------------------
 
 
 class LambdaFleetServer(FleetServer):
-    """K merged-model variants behind one router, one plan, one arena.
+    """K merged-model variants behind one router and one plan.
 
     Parameters
     ----------
@@ -279,7 +248,7 @@ class LambdaFleetServer(FleetServer):
         percentages, …); ``None`` return falls through to the default.
     draft_model / other kwargs:
         As in :class:`~repro.serve.fleet.FleetServer` (speculative decoding
-        works per replica over the shared draft copy).
+        works per replica over the inherited draft).
 
     Routing resolves a request to a variant, then consistent-hashes within
     that variant's replica group — so per-variant session/prefix affinity
@@ -304,7 +273,7 @@ class LambdaFleetServer(FleetServer):
         if replicas_per_variant < 1:
             raise ValueError(
                 f"replicas_per_variant must be >= 1, got {replicas_per_variant}")
-        # Everything _source_for / _route need must exist before the base
+        # Everything _model_for / _route need must exist before the base
         # constructor forks the replicas.
         self._plan = plan
         self._model_config = config
@@ -336,26 +305,19 @@ class LambdaFleetServer(FleetServer):
         registry.gauge("serve.fleet.variants").set(len(names))
 
     # ------------------------------------------------------------------
-    # plan publication and per-replica sources
+    # per-replica models
     # ------------------------------------------------------------------
-    def _publish_model(self, model) -> None:
-        """Publish the shared plan once (float32 rows) and build one
-        picklable :class:`VariantSource` per variant.  ``model`` is unused —
-        the λ-fleet's weights *are* the plan."""
-        metas = self._plan.publish(self._arena, prefix=PLAN_PREFIX)
-        config_dict = self._model_config.to_dict()
-        self._variant_sources = {
-            name: VariantSource(config_dict, metas, spec,
-                                weight_mode=self.config.weight_mode)
-            for name, spec in self.variant_specs.items()}
-        return None
-
     def variant_of_replica(self, replica_id: int) -> str:
         """The variant a replica slot serves (fixed group layout)."""
         return self._names[replica_id // self.replicas_per_variant]
 
-    def _source_for(self, replica_id: int) -> VariantSource:
-        return self._variant_sources[self.variant_of_replica(replica_id)]
+    def _model_for(self, replica_id: int) -> LazyMergedModel:
+        """A not-yet-materialized variant over the parent's plan: the
+        replica inherits it and realizes its own copy (the parent never
+        materializes one)."""
+        return LazyMergedModel(self._model_config, self._plan,
+                               self.variant_specs[
+                                   self.variant_of_replica(replica_id)])
 
     # ------------------------------------------------------------------
     # variant-aware routing
@@ -471,6 +433,6 @@ class LambdaFleetServer(FleetServer):
         return report
 
     def plan_bytes(self) -> int:
-        """Resident arena bytes of the shared plan (the memory-gate number:
-        all K variants ride this one footprint)."""
-        return self._arena.nbytes_for(PLAN_PREFIX)
+        """Resident bytes of the plan, held once by the parent (the
+        memory-gate number: all K variants ride this one footprint)."""
+        return self._plan.nbytes

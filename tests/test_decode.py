@@ -508,7 +508,7 @@ def test_quantize_state_dict_form_and_idempotence(model):
         if tensor.dtype == np.int8:
             assert name + INT8_SCALE_SUFFIX in qsd
     # Quantizing an already-quantized dict is an exact no-op — what lets
-    # fleet replicas consume the published arena state verbatim.
+    # int8 fleet replicas consume the inherited quantized state verbatim.
     again = quantize_state_dict(qsd)
     assert set(again) == set(qsd)
     for name in qsd:

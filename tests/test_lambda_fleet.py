@@ -2,12 +2,11 @@
 
 The tentpole contract: every variant a
 :class:`~repro.serve.lambda_fleet.LambdaFleetServer` materializes lazily
-from the one arena-resident :class:`~repro.core.merge_engine.MergePlan` is
+from the one inherited :class:`~repro.core.merge_engine.MergePlan` is
 **byte-identical** to loading the corresponding oracle merge
 (``engine.merge`` / ``merge_layerwise`` / ``karcher_merge_state_dicts``)
 into a model and serving it directly — across scalar, layerwise, and
 Karcher variants, fp32 and int8 weight modes, and speculative decoding.
-The autouse fixture fails any test that leaks a shared-memory segment.
 """
 
 from collections import OrderedDict
@@ -22,23 +21,15 @@ from repro.core.merge_engine import (KIND_EXCLUDED, KIND_SLERP, KIND_ZERO,
                                      TensorPlan)
 from repro.nn.kernels import quantize_state_dict
 from repro.nn.transformer import TransformerConfig, TransformerLM
-from repro.parallel import TensorArena, parallel_available
+from repro.parallel import parallel_available
 from repro.serve import InProcessServer, SamplingParams, ServeConfig
-from repro.serve.lambda_fleet import (PLAN_PREFIX, LambdaFleetServer,
-                                      LazyMergedModel, VariantSpec,
-                                      materialize_variant)
+from repro.serve.lambda_fleet import (LambdaFleetServer, LazyMergedModel,
+                                      VariantSpec, materialize_variant)
 from repro.serve.request import Request
 from tests.conftest import kill_busiest_replica, within
 
 needs_fork = pytest.mark.skipif(not parallel_available(),
                                 reason="requires os.fork")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    yield
-    assert TensorArena.live_segments() == [], \
-        "test leaked shared-memory segments"
 
 
 CONFIG = TransformerConfig(vocab_size=64, dim=16, n_layers=2, n_heads=2,
@@ -276,23 +267,17 @@ class TestKarcherThroughPlan:
         assert state["w"].shape == (3, 2)
         assert not state["w"].any()
 
-    def test_weighted_mean_deterministic_across_views(self, engine):
-        """Two independent zero-copy attachments of the published plan
-        materialize byte-identical Karcher variants — the replica-side
+    def test_weighted_mean_deterministic_across_materializations(
+            self, engine):
+        """Two lazy models over the one plan — what two replicas of a
+        Karcher variant each inherit — materialize byte-identical variants,
+        equal to the plan's direct materialization: the replica-side
         determinism the fleet's multi-replica variant groups rely on."""
         spec = VariantSpec.karcher("k", (0.6, 0.4))
-        with TensorArena() as arena:
-            metas = engine.plan.publish(arena, prefix=PLAN_PREFIX)
-            results = []
-            for _ in range(2):
-                with arena.handle().attach() as view:
-                    plan = MergePlan.from_view(view, metas,
-                                               prefix=PLAN_PREFIX)
-                    results.append(materialize_variant(plan, spec))
-            _assert_state_equal(results[1], results[0])
-            # And both equal the never-published in-process plan's result.
-            _assert_state_equal(results[0],
-                                materialize_variant(engine.plan, spec))
+        results = [LazyMergedModel(CONFIG, engine.plan, spec)
+                   .parameter_arrays() for _ in range(2)]
+        _assert_state_equal(results[1], results[0])
+        _assert_state_equal(results[0], materialize_variant(engine.plan, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +361,8 @@ class TestLambdaFleetParity:
 
     def test_sigkilled_variant_replica_rebuilds_from_the_plan(self, engine):
         # Kill the busiest replica of a 2-variant x 1-replica fleet mid-run.
-        # Its respawn rebuilds the variant from the published plan (no
-        # re-publish), and the requeued requests replay byte-identically.
+        # Its respawn rebuilds the variant from the inherited plan, and the
+        # requeued requests replay byte-identically.
         variants = VARIANTS[:2]
         names = {spec.name for spec in variants}
         requests = [r for r in _variant_requests(n=8, max_new_tokens=24)

@@ -46,6 +46,7 @@ def _fresh_modules(statement: str):
     ("repro.serve.net", NOT_SERVING),
     # The harness's instruction constants come without the worker pool.
     ("repro.eval.harness", ("multiprocessing", "repro.parallel")),
+    ("repro.eval.mcq_eval", ("multiprocessing", "repro.parallel")),
 ])
 def test_import_loads_only_what_the_module_needs(module, not_loaded):
     loaded = _fresh_modules(f"import {module}")

@@ -228,7 +228,7 @@ def test_plan_is_isolated_from_input_mutation():
 
 
 # ---------------------------------------------------------------------------
-# output buffers and the incremental iterator
+# output buffers
 # ---------------------------------------------------------------------------
 
 def test_merge_into_preallocated_buffers():
@@ -239,30 +239,6 @@ def test_merge_into_preallocated_buffers():
     for key in a:
         assert merged[key] is buffers[key]
     assert_state_dicts_close(merged, merge_state_dicts(a, b, lam=0.4))
-
-
-def test_isweep_yields_every_point():
-    a, b = make_pair()
-    engine = GeodesicMergeEngine(a, b)
-    points = list(engine.isweep([0.0, 0.5, 1.0]))
-    assert [lam for lam, _ in points] == [0.0, 0.5, 1.0]
-    for lam, merged in points:
-        assert_state_dicts_close(merged, merge_state_dicts(a, b, lam=lam))
-
-
-def test_isweep_reuse_buffers_overwrites_in_place():
-    a, b = make_pair()
-    engine = GeodesicMergeEngine(a, b)
-    it = engine.isweep([0.2, 0.8], reuse_buffers=True)
-    lam0, first = next(it)
-    first_copy = {key: first[key].copy() for key in first}
-    lam1, second = next(it)
-    # Same buffers, new contents: the first yield was invalidated.
-    for key in first:
-        assert second[key] is first[key]
-    assert not all(np.array_equal(first_copy[key], second[key])
-                   for key in first)
-    assert_state_dicts_close(second, merge_state_dicts(a, b, lam=0.8))
 
 
 def test_from_models_requires_matching_architectures():

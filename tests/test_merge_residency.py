@@ -6,8 +6,9 @@ a time, so neither source model is built for it.  Float32 models plan
 into float32 rows (float32 → float64 is exact, so every evaluation sees
 the same float64 operands), and merged models are filled one tensor at a
 time.  Inference engines read a model's own parameter arrays instead of a
-copy (int8 engines own their quantized weights; fleet replicas read arena
-views), and checkpoints load and save without a whole-model staging copy.
+copy (int8 engines own their quantized weights; fleet replicas read the
+arrays they inherit across the fork), and checkpoints load and save
+without a whole-model staging copy.
 
 These tests pin both halves: the bits are those of a plan whose rows were
 forced to float64 and of a plan built from loaded models, and the peak
@@ -15,6 +16,7 @@ memory of planning, merging, the Fig. 8 path and checkpoint I/O stays
 bounded.
 """
 
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -29,6 +31,9 @@ from repro.nn.transformer import TransformerLM, preset_config
 from repro.parallel import parallel_available
 from repro.pipelines.model_zoo import RECIPE_VERSION, ModelZoo
 from tests.conftest import traced_peak
+
+needs_fork = pytest.mark.skipif(not parallel_available(),
+                                reason="requires os.fork")
 
 LAMS = [round(0.1 * i, 1) for i in range(11)]
 POINTS = [0.0, 0.3, 1.0]
@@ -92,7 +97,7 @@ def test_pair_float32_cannot_represent_keeps_float64_rows():
 
 @pytest.mark.parametrize("lams", [POINTS, LAMS], ids=["points", "grid"])
 def test_engine_bits_match_float64_rows(lams):
-    """merge, sweep, isweep(reuse_buffers=True) and sweep(out=...) over
+    """merge, merge(out=new_buffers()), sweep and sweep(out=...) over
     excluded, one-zero (linear) and slerp tensors are bitwise those of a
     plan with float64 rows."""
     pair = _pair(np.float32)
@@ -102,9 +107,9 @@ def test_engine_bits_match_float64_rows(lams):
         _assert_bitwise(engine.merge(lam), wide.merge(lam))
     for got, want in zip(engine.sweep(lams), wide.sweep(lams)):
         _assert_bitwise(got, want)
-    for (_, got), (_, want) in zip(engine.isweep(lams, reuse_buffers=True),
-                                   wide.isweep(lams, reuse_buffers=True)):
-        _assert_bitwise(got, want)
+    for lam in lams:
+        _assert_bitwise(engine.merge(lam, out=engine.new_buffers()),
+                        wide.merge(lam, out=wide.new_buffers()))
     # float32 out buffers get the float64 result with load_state_dict's
     # rounding, one tensor at a time.
     out = [OrderedDict((k, np.empty(v.shape, np.float32))
@@ -120,19 +125,6 @@ def test_sweep_rejects_out_of_the_wrong_length():
     engine = GeodesicMergeEngine(*_pair(np.float32))
     with pytest.raises(ValueError, match="buffer sets"):
         engine.sweep(POINTS, out=[engine.new_buffers()])
-
-
-def test_publish_stores_rows_as_planned():
-    from repro.parallel import TensorArena
-
-    engine = GeodesicMergeEngine(*_pair(np.float32), exclude=("excluded.*",))
-    with TensorArena() as arena:
-        engine.plan.publish(arena)
-        rows = sum(t.stacked.nbytes for t in engine.plan
-                   if t.stacked is not None)
-        raw = sum(t.raw_chip.nbytes for t in engine.plan
-                  if t.raw_chip is not None)
-        assert rows + raw <= arena.nbytes < rows + raw + 64 * len(engine.plan)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +191,7 @@ def test_grande_rows_are_two_fp32_models(grande_pair):
     zoo, one_model = _loaded_zoo(grande_pair)
     plan = zoo.merge_engine("grande").plan
     assert sum(t.stacked.nbytes for t in plan) == 2 * one_model
+    assert plan.nbytes == 2 * one_model
 
 
 def test_from_models_plan_is_isolated_from_the_models(grande_pair):
@@ -234,7 +227,6 @@ def test_zoo_merged_sweep_bits_match_float64_rows(grande_pair_one_zero,
                                                   lams, n_workers):
     zoo, _ = _loaded_zoo(grande_pair_one_zero)
     models = zoo.merged_sweep("grande", lams, n_workers=n_workers)
-    zoo.merge_engine("grande").close()
     for got, want in zip(models, _oracle_models(zoo, lams, sweep=True)):
         _assert_bitwise(got.state_dict(), want.state_dict())
     registry = zoo.merge_engine("grande").obs.registry
@@ -353,79 +345,151 @@ def _shares_any(array, others):
     return any(np.shares_memory(array, other) for other in others)
 
 
-def _check_replica_engine(source_of, weight_mode, check):
-    """Publish ``_small_model`` the way a fleet does, build a replica
-    engine from the source ``source_of(arena, model)`` returns, and run
-    ``check(engine, views, replica_model)`` on it before the views close."""
-    from repro.parallel import TensorArena
-    from repro.serve.engine import BatchedEngine
+def _check_replica_engine(make_fleet, weight_mode, check):
+    """Build a one-replica fleet with ``make_fleet(serve_config)``, then the
+    engine its replica builds from the model it inherits, and run
+    ``check(engine, replica_model)``.  A forked replica sees the parent's
+    objects at the same addresses, so an engine that shares memory with
+    them here reads the inherited arrays in place there."""
+    from repro.serve import ServeConfig
+    from repro.serve.fleet import _replica_engine
+
+    config = ServeConfig(weight_mode=weight_mode)
+    with make_fleet(config) as fleet:
+        replica_model = fleet._model_for(0)
+        check(_replica_engine(replica_model, config), replica_model)
+
+
+@needs_fork
+@pytest.mark.parametrize("weight_mode", ["fp32", "int8"])
+def test_fleet_replica_engines_read_inherited_arrays(weight_mode):
+    """A replica-fleet engine reads the parent's arrays in place: every fp32
+    weight is the served model's own parameter; in int8 mode the
+    embedding, the norms and the unpacked int8 matrices (o, down, head)
+    are the one quantization the parent made before forking."""
+    from repro.serve.fleet import FleetServer
 
     model = _small_model()
-    with TensorArena() as arena:
-        source = source_of(arena, model)
-        view = arena.handle().attach()
-        try:
-            replica_model = source.materialize(view)
-            check(BatchedEngine(replica_model, weight_mode=weight_mode),
-                  [view.get(name) for name in view.keys()], replica_model)
-        finally:
-            view.close()
 
-
-@pytest.mark.parametrize("weight_mode", ["fp32", "int8"])
-def test_fleet_replica_engines_read_arena_views(weight_mode):
-    """A replica-fleet engine reads the published tensors themselves:
-    every fp32 weight; in int8 mode the embedding, the norms and the
-    unpacked int8 matrices (o, down, head)."""
-    from repro.nn.kernels import quantize_state_dict
-    from repro.serve.fleet import WEIGHTS_PREFIX, ArenaWeightsSource
-
-    def publish(arena, model):
-        state = model.parameter_arrays()
-        if weight_mode == "int8":
-            state = quantize_state_dict(state)
-        arena.publish_dict(WEIGHTS_PREFIX, state)
-        return ArenaWeightsSource(model.config.to_dict())
-
-    def check(engine, views, _):
+    def check(engine, replica_model):
         if weight_mode == "fp32":
+            assert replica_model is model
+            params = model.parameter_arrays()
             for name, array in _engine_weights(engine):
-                assert _shares_any(array, views), name
+                assert np.shares_memory(array, params[name]), name
             return
+        inherited = list(replica_model.parameter_arrays().values())
+        assert not any(_shares_any(array, inherited)
+                       for array in model.parameter_arrays().values())
         shared = [engine.tok_emb, engine.final_norm, *engine._packed.lm_head]
         for index, layer in enumerate(engine._packed.layers):
             shared += [*layer["o"], *layer["down"],
                        engine.layers[index]["attn_norm"]]
-        assert all(_shares_any(array, views) for array in shared)
+        assert all(_shares_any(array, inherited) for array in shared)
 
-    _check_replica_engine(publish, weight_mode, check)
+    _check_replica_engine(
+        lambda config: FleetServer(model, n_replicas=1, serve_config=config),
+        weight_mode, check)
 
 
+@needs_fork
 @pytest.mark.parametrize("weight_mode", ["fp32", "int8"])
 def test_lambda_fleet_replica_engines_read_their_variant_in_place(
         weight_mode):
-    """A λ-fleet replica realizes its variant privately from the plan's
-    arena views; its engine then reads that one variant copy in place
-    (fp32) or its own quantization of it (int8), never the plan rows."""
-    from repro.serve.lambda_fleet import (PLAN_PREFIX, VariantSource,
-                                          VariantSpec)
+    """A λ-fleet replica realizes its variant privately from the parent's
+    plan, which it inherits, and drops the lazy model's memo: its engine
+    then holds the one variant copy (fp32) or its own quantization of it
+    (int8), never the plan rows."""
+    from repro.serve.lambda_fleet import (LambdaFleetServer, VariantSpec,
+                                          materialize_variant)
 
-    def publish(arena, model):
-        plan = GeodesicMergeEngine(model.parameter_arrays(),
-                                   _small_model(1).parameter_arrays()).plan
-        metas = plan.publish(arena, prefix=PLAN_PREFIX)
-        return VariantSource(model.config.to_dict(), metas,
-                             VariantSpec.scalar("v", 0.4), weight_mode)
+    model = _small_model()
+    plan = GeodesicMergeEngine(model.parameter_arrays(),
+                               _small_model(1).parameter_arrays()).plan
+    rows = [t.stacked for t in plan if t.stacked is not None]
 
-    def check(engine, views, replica_model):
-        own = list(replica_model.parameter_arrays().values())
-        assert not any(_shares_any(array, views)
+    def check(engine, replica_model):
+        assert replica_model.plan is plan
+        assert not replica_model.materialized
+        assert not any(_shares_any(array, rows)
                        for array in _all_engine_arrays(engine))
         if weight_mode == "fp32":
+            want = materialize_variant(plan, replica_model.spec)
             for name, array in _engine_weights(engine):
-                assert _shares_any(array, own), name
+                assert np.array_equal(array, want[name]), name
 
-    _check_replica_engine(publish, weight_mode, check)
+    _check_replica_engine(
+        lambda config: LambdaFleetServer(
+            plan, model.config, [VariantSpec.scalar("v", 0.4)],
+            serve_config=config),
+        weight_mode, check)
+
+
+# ---------------------------------------------------------------------------
+# fork inheritance copies no weight pages
+# ---------------------------------------------------------------------------
+
+SMAPS_ROLLUP = "/proc/self/smaps_rollup"
+
+
+def _private_bytes():
+    """This process's ``Private_Clean + Private_Dirty``, in bytes."""
+    total = 0
+    with open(SMAPS_ROLLUP) as rollup:
+        for line in rollup:
+            field, _, value = line.partition(":")
+            if field in ("Private_Clean", "Private_Dirty"):
+                total += int(value.split()[0]) * 1024
+    return total
+
+
+def _read_all(arrays, conn):
+    """Forked child: read every byte of ``arrays``; report the growth of
+    private memory and the bytes read."""
+    before = _private_bytes()
+    read = 0
+    for array in arrays:
+        array.sum(dtype=np.float64)
+        read += array.nbytes
+    conn.send((_private_bytes() - before, read))
+    conn.close()
+
+
+@pytest.mark.skipif(not parallel_available()
+                    or not os.path.exists(SMAPS_ROLLUP),
+                    reason="requires os.fork and /proc/self/smaps_rollup")
+def test_forked_child_reads_inherited_weights_without_copying():
+    """A forked child reading an inherited fp32 grande model, its int8
+    quantization and a grande merge plan's rows gains almost no private
+    memory: the pages stay shared with the parent, so fleet replicas and
+    pool workers hold no private copy of the weights they serve."""
+    import multiprocessing
+
+    from repro.nn.kernels import quantize_state_dict
+
+    model = TransformerLM(preset_config("grande", 64, seed=0))
+    plan = GeodesicMergeEngine(
+        model.parameter_arrays(),
+        TransformerLM(preset_config("grande", 64, seed=1)).parameter_arrays(),
+    ).plan
+    model_bytes = sum(a.nbytes for a in model.parameter_arrays().values())
+    arrays = [*model.parameter_arrays().values(),
+              *quantize_state_dict(model.parameter_arrays()).values(),
+              *(t.stacked for t in plan if t.stacked is not None)]
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_read_all, args=(arrays, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "child sent no report"
+        grown, read = recv.recv()
+    finally:
+        child.join(timeout=10)
+    assert read > 3 * model_bytes
+    assert grown < read / 2, (
+        f"child's private memory grew {grown / 2 ** 20:.2f} MB reading "
+        f"{read / 2 ** 20:.2f} MB of inherited arrays")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""repro.parallel: shared-memory arena, fault-tolerant pool, determinism.
+"""repro.parallel: fault-tolerant pool, fork-inherited context, determinism.
 
 The determinism classes are the subsystem's acceptance contract: every
 benchmark evaluated with ``workers=4`` must be **bit-identical** to the
@@ -8,120 +8,20 @@ counter totals that ride back in worker snapshots.
 
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 
-import numpy as np
 import pytest
 
 from repro.obs import Observability
-from repro.parallel import (ALIGN, CHILD_BLAS_THREADS, ArenaHandle,
-                            ParallelTaskError, TensorArena, WorkerPool,
-                            blas_threads, effective_workers,
+from repro.parallel import (CHILD_BLAS_THREADS, ParallelTaskError,
+                            WorkerPool, blas_threads, effective_workers,
                             get_task_context, parallel_available,
                             task_context, task_obs, worker_obs)
 from tests.conftest import within
 
 needs_fork = pytest.mark.skipif(not parallel_available(),
                                 reason="requires os.fork")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    yield
-    assert TensorArena.live_segments() == [], \
-        "test leaked shared-memory segments"
-
-
-# ---------------------------------------------------------------------------
-# TensorArena
-# ---------------------------------------------------------------------------
-
-
-class TestTensorArena:
-    def test_publish_round_trip_preserves_dtype_and_shape(self):
-        rng = np.random.default_rng(0)
-        tensors = {
-            "f64": rng.normal(size=(7, 5)),
-            "f32": rng.normal(size=(3, 2, 4)).astype(np.float32),
-            "i32": rng.integers(-9, 9, size=(11,)).astype(np.int32),
-        }
-        with TensorArena() as arena:
-            for name, array in tensors.items():
-                arena.publish(name, array)
-            with arena.view() as view:
-                for name, array in tensors.items():
-                    got = view.get(name)
-                    assert got.dtype == array.dtype
-                    assert got.shape == array.shape
-                    assert np.array_equal(got, array)
-
-    def test_views_are_read_only(self):
-        with TensorArena() as arena:
-            arena.publish("t", np.ones(4))
-            with arena.view() as view:
-                got = view.get("t")
-                with pytest.raises(ValueError):
-                    got[0] = 5.0
-
-    def test_publish_dict_aligns_and_round_trips(self):
-        rng = np.random.default_rng(1)
-        state = {"a.w": rng.normal(size=(5, 3)),
-                 "a.b": rng.normal(size=(3,)).astype(np.float32),
-                 "z": rng.normal(size=(2, 2))}
-        with TensorArena() as arena:
-            names = arena.publish_dict("sd", state)
-            assert names == ["sd.a.w", "sd.a.b", "sd.z"]
-            handle = arena.handle()
-            for _, spec in handle.specs:
-                assert spec.offset % ALIGN == 0
-            with arena.view() as view:
-                got = view.get_dict("sd")
-                assert list(got) == list(state)
-                for key, array in state.items():
-                    assert np.array_equal(got[key], array)
-                    assert got[key].dtype == array.dtype
-
-    def test_duplicate_and_empty_publishes_rejected(self):
-        with TensorArena() as arena:
-            arena.publish("t", np.ones(2))
-            with pytest.raises(ValueError):
-                arena.publish("t", np.ones(2))
-            with pytest.raises(ValueError):
-                arena.publish_dict("p", {})
-
-    def test_handle_is_small_and_picklable(self):
-        with TensorArena() as arena:
-            arena.publish("big", np.zeros((512, 512)))  # 2 MB published
-            blob = pickle.dumps(arena.handle())
-            assert len(blob) < 2048  # ... but the handle is metadata-sized
-            restored = pickle.loads(blob)
-            assert isinstance(restored, ArenaHandle)
-            with restored.attach() as view:
-                assert view.get("big").shape == (512, 512)
-
-    def test_close_unlinks_and_is_idempotent(self):
-        arena = TensorArena()
-        arena.publish("t", np.ones(8))
-        assert TensorArena.live_segments() != []
-        handle = arena.handle()
-        arena.close()
-        arena.close()
-        assert TensorArena.live_segments() == []
-        with pytest.raises(FileNotFoundError):
-            handle.attach().get("t")
-        with pytest.raises(ValueError):
-            arena.publish("u", np.ones(2))
-
-    def test_unknown_tensor_raises_keyerror(self):
-        with TensorArena() as arena:
-            arena.publish("t", np.ones(2))
-            with arena.view() as view:
-                with pytest.raises(KeyError):
-                    view.get("nope")
-                with pytest.raises(KeyError):
-                    view.get_dict("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +78,7 @@ def _forge_events(pool, slot=0):
     return send_end
 
 
-def _attach_then_sigkill(handle):
-    handle.attach()
+def _sigkill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -190,20 +89,6 @@ def _count_then_kill_first_attempt(x):
         open(ctx["flag"], "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
     return x * x
-
-
-_ARENA_VIEW = None
-
-
-def _attach_arena(handle):
-    global _ARENA_VIEW
-    _ARENA_VIEW = handle.attach()
-
-
-def _sum_from_arena(name):
-    tensor = _ARENA_VIEW.get(name)
-    assert not tensor.flags.writeable
-    return float(tensor.sum())
 
 
 @needs_fork
@@ -233,17 +118,6 @@ class TestWorkerPool:
                 assert pool.map_chunked(_mul_by_ctx_factor, [1, 2, 3]) == \
                     [7, 14, 21]
         assert "factor" not in get_task_context()
-
-    def test_arena_initializer_gives_workers_zero_copy_views(self):
-        rng = np.random.default_rng(2)
-        tensors = {f"t{i}": rng.normal(size=(50, 40)) for i in range(4)}
-        with TensorArena() as arena:
-            for name, array in tensors.items():
-                arena.publish(name, array)
-            with WorkerPool(2, initializer=_attach_arena,
-                            initargs=(arena.handle(),)) as pool:
-                sums = pool.map_chunked(_sum_from_arena, list(tensors))
-        assert sums == [float(t.sum()) for t in tensors.values()]
 
     def test_worker_obs_ships_back_exactly_once(self):
         obs = Observability()
@@ -427,23 +301,23 @@ class TestWorkerPool:
         assert "timeout" in err.value.cause
         assert obs.registry.snapshot()["parallel.task_timeouts"] >= 1
 
-    def test_workers_dying_at_startup_exhaust_the_respawn_budget(self):
-        # Every worker SIGKILLs itself in its initializer, so no task can
-        # ever run: the per-map respawn budget must end the map in a typed
-        # error, and closing must leave no shared-memory segment behind.
+    def test_workers_dying_at_startup_exhaust_the_respawn_budget(
+            self, monkeypatch):
+        # Every worker SIGKILLs itself before it is ready (forked children
+        # inherit the patched BLAS pin every child runs first), so no task
+        # can ever run: the per-map respawn budget must end the map in a
+        # typed error.
+        from repro.parallel import supervisor
+
+        monkeypatch.setattr(supervisor, "pin_blas_threads", _sigkill_self)
         obs = Observability()
 
         def run():
-            with TensorArena() as arena:
-                arena.publish("t", np.ones(4))
-                with WorkerPool(2, initializer=_attach_then_sigkill,
-                                initargs=(arena.handle(),), max_retries=0,
-                                obs=obs) as pool:
-                    pool.map_chunked(_square, [1, 2, 3])
+            with WorkerPool(2, max_retries=0, obs=obs) as pool:
+                pool.map_chunked(_square, [1, 2, 3])
 
         with pytest.raises(ParallelTaskError, match="workers keep dying"):
             within(30, run)
-        assert TensorArena.live_segments() == []
         assert obs.registry.snapshot()["parallel.worker_respawns"] == 2 * 2
 
     def test_close_terminates_all_workers(self):

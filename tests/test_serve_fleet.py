@@ -4,8 +4,7 @@ The fleet's acceptance contract is *routed output == single-engine output,
 byte for byte* in exact decode mode — across sampling modes, across prefix
 cache hits, and across a replica being SIGKILLed mid-decode.  The router's
 conservation ledger (no request lost, none answered twice) is asserted in
-every integration test, and the autouse fixture fails any test that leaks
-a shared-memory segment.
+every integration test.
 """
 
 import os
@@ -15,7 +14,7 @@ import pytest
 
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.obs import Observability
-from repro.parallel import TensorArena, parallel_available
+from repro.parallel import parallel_available
 from repro.serve import InProcessServer, SamplingParams, ServeConfig
 from repro.serve.fleet import FleetError, FleetServer, HashRing, affinity_key
 from repro.serve.net import NetClient, NetServerConfig, NetServerThread
@@ -24,13 +23,6 @@ from tests.conftest import kill_busiest_replica, within
 
 needs_fork = pytest.mark.skipif(not parallel_available(),
                                 reason="requires os.fork")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    yield
-    assert TensorArena.live_segments() == [], \
-        "test leaked shared-memory segments"
 
 
 @pytest.fixture(scope="module")
@@ -231,16 +223,17 @@ class TestFleetParity:
         assert merged["counters"].get("serve.cached_prefix_tokens", 0) > 0
 
 
-class _StillbornSource:
-    """A replica model source whose replica exits before it is ready."""
+class _StillbornModel:
+    """A replica model whose replica exits before it is ready: the engine's
+    first look at it ends the process."""
 
-    def materialize(self, view):
+    def __getattr__(self, name):
         os._exit(3)
 
 
 class _StillbornFleet(FleetServer):
-    def _source_for(self, replica_id):
-        return _StillbornSource()
+    def _model_for(self, replica_id):
+        return _StillbornModel()
 
 
 @needs_fork
@@ -277,8 +270,7 @@ class TestFleetFaults:
 
     def test_replicas_dying_at_startup_exhaust_the_respawn_budget(self, model):
         # No replica ever becomes ready: the fleet's lifetime respawn budget
-        # must end the run in a typed error, not a hang, and closing must
-        # free the arena.
+        # must end the run in a typed error, not a hang.
         def run():
             with _StillbornFleet(model, n_replicas=1,
                                  serve_config=EXACT_CFG) as fleet:
@@ -288,7 +280,6 @@ class TestFleetFaults:
 
         with pytest.raises(FleetError, match="replicas keep dying"):
             within(30, run)
-        assert TensorArena.live_segments() == []
 
     def test_duplicate_request_id_rejected(self, model):
         with FleetServer(model, n_replicas=1, serve_config=EXACT_CFG) as fleet:
@@ -377,10 +368,10 @@ class TestNetOverFleet:
 
 @needs_fork
 class TestFleetSpeculative:
-    """Speculative decoding through the fork path: the draft's state dict is
-    published to the arena next to the target's, each replica rebuilds a
-    private draft engine, and exact accept/reject keeps the emitted bytes
-    independent of which copy of the draft did the proposing."""
+    """Speculative decoding through the fork path: each replica builds a
+    draft engine over the draft it inherited, and exact accept/reject keeps
+    the emitted bytes independent of which copy of the draft did the
+    proposing."""
 
     @pytest.fixture(scope="class")
     def draft(self):
@@ -415,10 +406,10 @@ class TestFleetSpeculative:
         assert accounting["conservation_ok"] == 1
 
     def test_int8_fleet_with_quantized_draft_keeps_parity(self, model, draft):
-        """weight_mode="int8" publishes a quantized draft; replicas serve a
-        dequantized private copy.  Output bytes still match the in-process
-        int8 server with the full-precision draft, because verification
-        resamples every token from target logits."""
+        """weight_mode="int8" quantizes the draft once in the parent and
+        replicas draft with its dequantized twin.  Output bytes still match
+        the in-process int8 server with the full-precision draft, because
+        verification resamples every token from target logits."""
         config = ServeConfig(max_batch_size=4, decode_mode="fused",
                              prefix_cache=False, speculative_tokens=2,
                              weight_mode="int8")

@@ -288,7 +288,11 @@ class FleetServer:
     model:
         A ``TransformerLM``; every replica, respawns included, serves this
         object's own arrays, inherited across the fork (int8 fleets serve
-        its quantization, made once, here).
+        its quantization, made once, here).  The engine contract applies:
+        do not update the model in place or ``load_state_dict`` it while
+        the fleet is alive, because a respawned replica inherits whatever
+        the parent holds at that moment and would then serve different
+        weights from its siblings (fp32 fleets take no snapshot).
     tokenizer / serve_config / clock / eos_id / obs:
         As in :class:`~repro.serve.server.InProcessServer`.  ``serve_config``
         applies per replica (each runs its own scheduler, prefix cache, and

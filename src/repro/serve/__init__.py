@@ -42,34 +42,25 @@ and quality-driven promotion — lives in :mod:`repro.serve.lambda_fleet`
 (DESIGN.md §12, ``repro bench lambda``).
 """
 
-from .cache import (ArrayEntry, BlockEntry, BlockPool, BlockPoolError,
-                    KVEntry, PrefixCachePool, common_prefix_length,
-                    common_prefix_length_np)
-from .engine import (BatchedEngine, DECODE_MODES, KV_MODES, WEIGHT_MODES,
-                     dequantized_oracle_model)
-from .loadgen import (ARRIVAL_PROCESSES, WorkloadSpec, arrival_schedule,
-                      format_benchmark_report, percentile,
-                      run_multi_tenant_workload, run_serial_baseline,
-                      run_serve_benchmark, run_served, run_socket_workload,
-                      synthetic_prompts)
-from .metrics import ServerMetrics
-from .request import (Completion, FinishReason, Request, RequestStatus,
-                      SamplingParams)
-from .scheduler import Scheduler, ServeConfig
-from .server import InProcessServer
-from .sessions import SessionState, SessionStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchedEngine", "DECODE_MODES", "KV_MODES", "WEIGHT_MODES",
-    "dequantized_oracle_model",
-    "Completion", "FinishReason", "Request", "RequestStatus", "SamplingParams",
-    "ArrayEntry", "BlockEntry", "BlockPool", "BlockPoolError", "KVEntry",
-    "PrefixCachePool", "common_prefix_length", "common_prefix_length_np",
-    "Scheduler", "ServeConfig", "ServerMetrics",
-    "SessionState", "SessionStore",
-    "InProcessServer",
-    "ARRIVAL_PROCESSES", "WorkloadSpec", "arrival_schedule",
-    "format_benchmark_report", "percentile", "run_multi_tenant_workload",
-    "run_serial_baseline", "run_serve_benchmark", "run_served",
-    "run_socket_workload", "synthetic_prompts",
-]
+# Lazy: a process that only needs a light module (the load generator's
+# helpers, the request types) does not load the engine and scheduler.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("BatchedEngine", "DECODE_MODES", "KV_MODES", "WEIGHT_MODES",
+                "dequantized_oracle_model"),
+    ".request": ("Completion", "FinishReason", "Request", "RequestStatus",
+                 "SamplingParams"),
+    ".cache": ("ArrayEntry", "BlockEntry", "BlockPool", "BlockPoolError",
+               "KVEntry", "PrefixCachePool", "common_prefix_length",
+               "common_prefix_length_np"),
+    ".scheduler": ("Scheduler", "ServeConfig"),
+    ".metrics": ("ServerMetrics",),
+    ".sessions": ("SessionState", "SessionStore"),
+    ".server": ("InProcessServer",),
+    ".loadgen": ("ARRIVAL_PROCESSES", "WorkloadSpec", "arrival_schedule",
+                 "format_benchmark_report", "percentile",
+                 "run_multi_tenant_workload", "run_serial_baseline",
+                 "run_serve_benchmark", "run_served", "run_socket_workload",
+                 "synthetic_prompts"),
+})

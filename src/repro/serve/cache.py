@@ -169,10 +169,17 @@ class PrefixCachePool:
         self._entries: Dict[Tuple[int, ...], KVEntry] = {}
         self._clock = 0
         self._last_used: Dict[Tuple[int, ...], int] = {}
-        # Lazily rebuilt padded key matrix backing the vectorized lookup
-        # scan; invalidated whenever the entry set changes.
-        self._key_matrix_cache: Optional[
-            Tuple[List[Tuple[int, ...]], np.ndarray]] = None
+        # Padded key matrix backing the vectorized lookup scan: one int64
+        # row per entry, written once at insert and reset to padding when
+        # the entry leaves; rows are reused, so ``_order`` (the insertion
+        # sequence number of each row's key) carries the insertion-order
+        # tie-break.
+        self._matrix = np.full((0, 0), -1, dtype=np.int64)
+        self._order = np.zeros(0, dtype=np.int64)
+        self._row_keys: List[Optional[Tuple[int, ...]]] = []
+        self._row_of: Dict[Tuple[int, ...], int] = {}
+        self._free_rows: List[int] = []
+        self._inserted = 0
         self.hits = 0
         self.misses = 0
         self.tokens_reused = 0
@@ -225,17 +232,19 @@ class PrefixCachePool:
         limit = len(prompt) - 1
         if not self._entries or limit < 1:
             return None, 0
-        keys, matrix = self._key_matrix()
-        cmp_len = min(matrix.shape[1], limit)
+        cmp_len = min(self._matrix.shape[1], limit)
         row = np.asarray(prompt[:cmp_len], dtype=np.int64)
         # Key padding is -1, which never equals a (non-negative) token id,
-        # so a shorter key stops matching exactly at its own length.
-        eq = matrix[:, :cmp_len] == row[None, :]
+        # so a shorter key stops matching exactly at its own length and a
+        # free row never matches at all.
+        eq = self._matrix[:, :cmp_len] == row[None, :]
         matches = np.logical_and.accumulate(eq, axis=1).sum(axis=1)
         best_len = int(matches.max())
         if best_len == 0:
             return None, 0
-        return keys[int(matches.argmax())], best_len
+        tied = np.flatnonzero(matches == best_len)
+        best = tied[int(self._order[tied].argmin())]
+        return self._row_keys[best], best_len
 
     def _scan_scalar(self, prompt: Tuple[int, ...]
                      ) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -250,15 +259,37 @@ class PrefixCachePool:
                 best_key, best_len = key, match
         return best_key, best_len
 
-    def _key_matrix(self) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-        if self._key_matrix_cache is None:
-            keys = list(self._entries)
-            width = max(len(key) for key in keys)
-            matrix = np.full((len(keys), width), -1, dtype=np.int64)
-            for i, key in enumerate(keys):
-                matrix[i, : len(key)] = key
-            self._key_matrix_cache = (keys, matrix)
-        return self._key_matrix_cache
+    def _add_row(self, key: Tuple[int, ...]) -> None:
+        """Write a new entry's key into a free matrix row."""
+        rows, width = self._matrix.shape
+        if not self._free_rows or len(key) > width:
+            # Grow: rows by doubling (capped at the most the pool can hold
+            # at once), width to the new key's length.
+            if not self._free_rows:
+                grown = min(max(2 * rows, 1), self.max_entries + 1)
+                self._free_rows = list(range(grown - 1, rows - 1, -1))
+                self._row_keys.extend([None] * (grown - rows))
+                self._order = np.concatenate(
+                    [self._order, np.zeros(grown - rows, dtype=np.int64)])
+                rows = grown
+            matrix = np.full((rows, max(width, len(key))), -1, dtype=np.int64)
+            matrix[: self._matrix.shape[0], :width] = self._matrix
+            self._matrix = matrix
+        row = self._free_rows.pop()
+        self._matrix[row, : len(key)] = key
+        self._order[row] = self._inserted
+        self._inserted += 1
+        self._row_keys[row] = key
+        self._row_of[key] = row
+
+    def _drop(self, key: Tuple[int, ...]) -> None:
+        """Remove an entry (releasing its payload) and free its row."""
+        self._entries.pop(key).release()
+        del self._last_used[key]
+        row = self._row_of.pop(key)
+        self._matrix[row] = -1
+        self._row_keys[row] = None
+        self._free_rows.append(row)
 
     def insert(self, prompt_ids: Sequence[int], payload: KVPayload) -> None:
         """Store the KV state of a fully prefilled prompt.
@@ -296,16 +327,13 @@ class PrefixCachePool:
         subsumed = [stored for stored in self._entries
                     if len(stored) < len(key) and key[: len(stored)] == stored]
         for stored in subsumed:
-            self._entries.pop(stored).release()
-            del self._last_used[stored]
+            self._drop(stored)
         self._entries[key] = coerce_entry(payload, len(key))
+        self._add_row(key)
         self._clock += 1
         self._last_used[key] = self._clock
         while len(self._entries) > self.max_entries:
-            oldest = min(self._last_used, key=self._last_used.get)
-            self._entries.pop(oldest).release()
-            del self._last_used[oldest]
-        self._key_matrix_cache = None
+            self._drop(min(self._last_used, key=self._last_used.get))
 
     @staticmethod
     def _decline(payload: KVPayload) -> None:
@@ -320,7 +348,10 @@ class PrefixCachePool:
             entry.release()
         self._entries.clear()
         self._last_used.clear()
-        self._key_matrix_cache = None
+        self._matrix[:] = -1
+        self._row_keys = [None] * len(self._row_keys)
+        self._row_of.clear()
+        self._free_rows = list(range(len(self._row_keys) - 1, -1, -1))
 
     # ------------------------------------------------------------------
     @property

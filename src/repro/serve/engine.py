@@ -28,11 +28,13 @@ Two decode modes, selected at construction:
 ``"fused"`` (default)
     Sequences live in engine-owned *slots*: per layer, one ragged batch
     buffer of shape ``(max_batch, heads, capacity, head_dim)`` plus a
-    length vector, grown by amortised doubling.  A decode step runs the
-    embeddings, attention projections, and SwiGLU MLP as single ``(B, ·)``
-    matmuls, writes each sequence's new K/V into its slot row with one
-    fancy-indexed store per layer, and attends over the running slots'
-    histories with out-of-range positions masked to ``-1e30``.  Dense
+    length vector, grown by amortised doubling.  (Not reserved at
+    ``max_seq_len`` up front: each slot-and-head row is its own run of
+    pages, so short sequences would touch a page per row.)  A decode step
+    runs the embeddings, attention projections, and SwiGLU MLP as single
+    ``(B, ·)`` matmuls, writes each sequence's new K/V into its slot row
+    with one fancy-indexed store per layer, and attends over the running
+    slots' histories with out-of-range positions masked to ``-1e30``.  Dense
     slots are picked with an index array, so every step copies each
     running sequence's ``Tmax``-long K/V history, per layer, into a fresh
     gather buffer (paged mode gathers its blocks the same way).  BLAS
@@ -72,11 +74,13 @@ Orthogonal to the decode mode, two cheap-serve axes (DESIGN.md §11):
     reused block can never leak a prior session's tail into a fresh
     sequence (the dense path only *masks* stale tails; the paged path
     erases them).  Per layer the storage is one ``(H, blocks, bt, Dh)``
-    array viewed flat as ``(H, blocks·bt, Dh)``; per-slot gather-index
-    rows (``_gather_pad``) map sequence positions to flat storage
-    positions, so a decode step is one fancy-index store and one gather
-    per layer across the whole batch — no per-sequence Python loop.  The
-    dense layout stays the differential oracle: both layouts feed
+    arena, reserved once for ``max_batch`` full contexts and viewed flat
+    as ``(H, blocks·bt, Dh)``; the pool's logical size still doubles, and
+    blocks past it are never written, so never resident.  Per-slot
+    gather-index rows (``_gather_pad``) map sequence positions to flat
+    storage positions, so a decode step is one fancy-index store and one
+    gather per layer across the whole batch — no per-sequence Python loop.
+    The dense layout stays the differential oracle: both layouts feed
     bit-identical gathered histories to the same attention kernel.
 
 Sequences are handed to callers as opaque :class:`SequenceHandle` objects;
@@ -333,13 +337,14 @@ class BatchedEngine(InferenceEngine):
         self._slot_v: List[np.ndarray] = []
         self._slot_lens = np.zeros(max_batch_size, dtype=np.int64)
         self._free_slots = list(range(max_batch_size - 1, -1, -1))
-        # Paged-KV state: block storage per layer plus per-slot block tables.
+        # Paged-KV state: the block arena per layer plus per-slot block
+        # tables.
         self._kv_block_tokens = kv_block_tokens
         self._block_pool: Optional[BlockPool] = None
         self._page_k: List[np.ndarray] = []
         self._page_v: List[np.ndarray] = []
-        # Flat (H, blocks*bt, Dh) views over the block storage (true views:
-        # the reshape merges contiguous axes), rebuilt on growth.
+        # Flat (H, blocks*bt, Dh) views over the block arena (true views:
+        # the reshape merges contiguous axes), rebuilt only if it moves.
         self._flat_k: List[np.ndarray] = []
         self._flat_v: List[np.ndarray] = []
         self._slot_blocks: List[List[int]] = [[] for _ in range(max_batch_size)]
@@ -353,7 +358,10 @@ class BatchedEngine(InferenceEngine):
         # both index storage that has been zeroed at least once (block 0 is
         # always the first allocation), so gathered padding is finite and
         # the attention mask's exact-zero softmax weights null it out.
-        self._gather_pad = np.zeros((max_batch_size, 0), dtype=np.int64)
+        # Sized once for a full context: no sequence holds more blocks.
+        bt = kv_block_tokens
+        width = -(-self.config.max_seq_len // bt) * bt
+        self._gather_pad = np.zeros((max_batch_size, width), dtype=np.int64)
         self._block_arange = np.arange(kv_block_tokens, dtype=np.int64)
         # KV-plane accounting: bytes physically copied between KV storage
         # locations (adoption copies and tails, entry snapshots) and
@@ -625,14 +633,25 @@ class BatchedEngine(InferenceEngine):
                 bufs[li] = grown
 
     def _ensure_block_storage(self, needed: int) -> None:
-        """Grow the paged block storage (and the pool) to ``needed`` blocks.
+        """Grow the block pool (and, past the arena, the storage) to
+        ``needed`` blocks.
 
-        Backing arrays are ``np.empty`` — block *contents* are zeroed at
-        allocation time in :meth:`_alloc_block`, which is the guarantee the
-        fresh-slot-zeroing regression test pins.
+        The :class:`BlockPool` is the *logical* size, grown by doubling and
+        clamped to ``max_blocks`` (what the batch can use at once) while
+        ``needed`` fits; :meth:`kv_stats` reports it.  The physical per-layer
+        arena is one ``np.empty((H, A, bt, Dh))`` array with ``A`` the
+        larger of ``max_blocks`` and the pool, allocated on first use.  The
+        pool hands out only ids below its logical size and every block is
+        zeroed in :meth:`_alloc_block` (the guarantee the fresh-slot-zeroing
+        regression test pins), so arena blocks past the pool are never
+        written and never become resident: ``bytes_reserved`` is an upper
+        bound on resident KV.  Only when entries pin more than
+        ``max_blocks`` does the arena move, by doubling, with the flat views
+        rebuilt.
         """
-        have = self._page_k[0].shape[1] if self._page_k else 0
-        if needed <= have and self._block_pool is not None:
+        pool = self._block_pool
+        have = pool.n_blocks if pool is not None else 0
+        if needed <= have:
             return
         bt = self._kv_block_tokens
         max_blocks = self.max_batch_size * (-(-self.config.max_seq_len // bt))
@@ -643,22 +662,24 @@ class BatchedEngine(InferenceEngine):
         # blocks beyond it) keep doubling, so growth stays amortized.
         if needed <= max_blocks:
             cap = min(cap, max_blocks)
-        dtype = self.tok_emb.dtype
-        shape = (self.n_heads, cap, bt, self.head_dim)
-        if not self._page_k:
-            self._page_k = [np.empty(shape, dtype=dtype) for _ in self.layers]
-            self._page_v = [np.empty(shape, dtype=dtype) for _ in self.layers]
+        if pool is None:
             self._block_pool = BlockPool(cap, bt)
-            self._rebuild_flat_views()
+        else:
+            self._block_pool.grow(cap - have)
+        arena = self._page_k[0].shape[1] if self._page_k else 0
+        if cap <= arena:
             return
-        if cap == have:
-            return
-        for li in range(len(self.layers)):
-            for bufs in (self._page_k, self._page_v):
+        size = max(max_blocks, cap)
+        shape = (self.n_heads, size, bt, self.head_dim)
+        dtype = self.tok_emb.dtype
+        for bufs in (self._page_k, self._page_v):
+            for li in range(len(self.layers)):
                 grown = np.empty(shape, dtype=dtype)
-                grown[:, :have] = bufs[li]
-                bufs[li] = grown
-        self._block_pool.grow(cap - have)
+                if arena:
+                    grown[:, :have] = bufs[li][:, :have]
+                    bufs[li] = grown
+                else:
+                    bufs.append(grown)
         self._rebuild_flat_views()
 
     def _rebuild_flat_views(self) -> None:
@@ -685,21 +706,9 @@ class BatchedEngine(InferenceEngine):
         table = self._slot_blocks[slot]
         n = len(table)
         bt = self._kv_block_tokens
-        self._ensure_gather_width((n + 1) * bt)
         self._gather_pad[slot, n * bt: (n + 1) * bt] = \
             block * bt + self._block_arange
         table.append(block)
-
-    def _ensure_gather_width(self, needed: int) -> None:
-        width = self._gather_pad.shape[1]
-        if needed <= width:
-            return
-        new_w = max(width, _INITIAL_SLOT_CAPACITY)
-        while new_w < needed:
-            new_w *= 2
-        grown = np.zeros((self.max_batch_size, new_w), dtype=np.int64)
-        grown[:, :width] = self._gather_pad
-        self._gather_pad = grown
 
     def _ensure_paged(self, slot: int, upto: int) -> None:
         """Allocate blocks until ``slot`` can hold ``upto`` tokens."""
@@ -717,11 +726,15 @@ class BatchedEngine(InferenceEngine):
     def kv_stats(self) -> Dict[str, object]:
         """KV-storage accounting of the fused decode path.
 
-        ``bytes_reserved`` is what the engine has allocated; ``bytes_in_use``
-        is what live sequences actually hold — equal for the dense layout
-        (every bound slot reserves full capacity), proportional to real
-        sequence lengths for the paged one.  The decode benchmark derives
-        its KV-bytes-per-session numbers from this.
+        ``bytes_reserved`` is the logical capacity — the block pool, or
+        every slot at ``slot_capacity`` — an upper bound on resident KV:
+        the paged arena is reserved once for ``max_batch`` full contexts,
+        but blocks past the pool are never written, so never resident.
+        ``bytes_in_use`` is what live sequences actually hold — equal for
+        the dense layout (every bound slot reserves full capacity),
+        proportional to real sequence lengths for the paged one.  The
+        decode benchmark derives its KV-bytes-per-session numbers from
+        this.
         """
         token_bytes = self._token_bytes
         out: Dict[str, object] = {"mode": self.kv_mode,

@@ -175,7 +175,8 @@ def _replica_main(conn, events, model, draft_model,
     handshake.  Events carry no replica id or epoch: the parent stamps
     both from the channel they arrive on.
     """
-    obs = Observability()
+    # Metrics only: a replica ships its registry, never its spans.
+    obs = Observability(enabled=False)
     engine = _replica_engine(model, serve_config)
     draft_engine = (InferenceEngine(draft_model)
                     if draft_model is not None else None)
@@ -336,7 +337,8 @@ class FleetServer:
         self.eos_id = eos_id
         self.config = serve_config
         self.clock = clock
-        self.obs = obs if obs is not None else Observability()
+        self.obs = (obs if obs is not None
+                    else Observability(enabled=False))
         self.affinity_prefix_tokens = affinity_prefix_tokens
         self.max_inflight_per_replica = (
             max_inflight_per_replica if max_inflight_per_replica is not None

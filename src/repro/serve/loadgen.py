@@ -26,14 +26,16 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.infer import InferenceEngine
 from .request import SamplingParams
-from .scheduler import ServeConfig
-from .server import InProcessServer
+
+if TYPE_CHECKING:
+    from ..nn.infer import InferenceEngine
+    from .scheduler import ServeConfig
+    from .server import InProcessServer
 
 #: Arrival processes understood by :func:`arrival_schedule`.
 ARRIVAL_PROCESSES = ("batch", "poisson", "bursty")
@@ -158,6 +160,9 @@ def run_serve_benchmark(model, spec: WorkloadSpec = WorkloadSpec(),
     histograms).  The serial baseline reuses the *single-sequence* engine
     inside the server's batched engine, so both paths run identical weights.
     """
+    from .scheduler import ServeConfig
+    from .server import InProcessServer
+
     config = config or ServeConfig(max_batch_size=min(8, spec.n_requests))
     server = InProcessServer(model, config=config, eos_id=eos_id)
     serial = run_serial_baseline(server.engine, spec, eos_id=eos_id)

@@ -130,8 +130,10 @@ class Scheduler:
         Shared :class:`~repro.obs.Observability`; the scheduler records
         ``serve.*`` counters into its registry and spans
         (``serve.step`` → ``serve.prefill`` / ``serve.decode_step`` /
-        ``serve.expire``) into its tracer.  A private instance is created
-        when none is supplied, so independent servers never mix metrics.
+        ``serve.expire``) into its tracer.  When none is supplied a private,
+        metrics-only instance (``enabled=False``) is created: independent
+        servers never mix metrics, and spans are stored only into a handle
+        the caller passes and can read.
     """
 
     def __init__(self, engine: BatchedEngine, config: ServeConfig = ServeConfig(),
@@ -156,7 +158,8 @@ class Scheduler:
         self.spec_rounds = 0
         self.spec_drafted = 0
         self.spec_accepted = 0
-        self.obs = obs if obs is not None else Observability(clock=clock)
+        self.obs = (obs if obs is not None
+                    else Observability(clock=clock, enabled=False))
         self.prefix_pool: Optional[PrefixCachePool] = (
             PrefixCachePool(max_entries=config.prefix_cache_entries,
                             min_match_tokens=config.prefix_min_tokens)

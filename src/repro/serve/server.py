@@ -51,8 +51,9 @@ class InProcessServer:
         Overrides the tokenizer's eos id (or provides one without a
         tokenizer).
     obs:
-        Shared :class:`~repro.obs.Observability` for metrics and spans;
-        private to this server when omitted.
+        Shared :class:`~repro.obs.Observability` for metrics and spans.
+        When omitted the server keeps a private, metrics-only handle:
+        spans are stored only into a handle the caller passes.
     draft_model:
         A smaller model for speculative decoding (required when the config
         sets ``speculative_tokens > 0``, ignored otherwise).  The draft

@@ -393,6 +393,53 @@ def test_block_storage_grows_geometrically_past_batch_capacity(model):
     assert eng._block_pool.n_allocated == 0
 
 
+def test_paged_arena_is_reserved_once_and_stats_keep_doubling(model):
+    """A burst that grows the logical pool 8 -> 16 -> 24 blocks (24 =
+    ``max_batch`` full contexts) writes into one arena per layer: the
+    ``_page_k`` / ``_page_v`` arrays stay the same objects and the flat
+    views are built once.  ``kv_stats`` still reports the doubling pool —
+    the values below are what the copy-at-each-doubling layout reported."""
+    eng = BatchedEngine(model, decode_mode="fused", kv_mode="paged",
+                        kv_block_tokens=4, max_batch_size=2)
+    rebuilds = [0]
+    rebuild = eng._rebuild_flat_views
+
+    def counted_rebuild():
+        rebuilds[0] += 1
+        rebuild()
+
+    eng._rebuild_flat_views = counted_rebuild
+    rng = np.random.default_rng(3)
+    handles = [eng.begin_sequence() for _ in range(2)]
+    stats = []
+    for handle in handles:
+        eng.prefill_into([int(t) for t in rng.integers(1, 24, 21)], handle)
+        stats.append(eng.kv_stats())
+    pages = [list(eng._page_k), list(eng._page_v)]
+    tokens = [1, 1]
+    while handles[0].length < model.config.max_seq_len:
+        logits = eng.decode(tokens, handles)
+        tokens = [int(t) for t in logits.argmax(axis=1)]
+        if handles[0].length in (32, 40, 48):
+            stats.append(eng.kv_stats())
+    assert eng._block_pool.n_blocks == 2 * (-(-model.config.max_seq_len // 4))
+    assert rebuilds[0] == 1
+    for kept, now in zip(pages, (eng._page_k, eng._page_v)):
+        assert all(a is b for a, b in zip(kept, now))
+    keys = ("blocks_total", "blocks_in_use", "bytes_reserved",
+            "bytes_in_use", "token_bytes")
+    assert [tuple(s[k] for k in keys) for s in stats] == [
+        (8, 6, 8192, 6144, 256),
+        (16, 12, 16384, 12288, 256),
+        (16, 16, 16384, 16384, 256),
+        (24, 20, 24576, 20480, 256),
+        (24, 24, 24576, 24576, 256),
+    ]
+    for handle in handles:
+        eng.release(handle)
+    assert eng._block_pool.n_allocated == 0
+
+
 # ---------------------------------------------------------------------------
 # scheduler-level zero-copy admission + skip-insert regression
 # ---------------------------------------------------------------------------

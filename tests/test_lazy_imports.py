@@ -1,10 +1,12 @@
 """The serving stack imports only the serving stack.
 
-``repro``, ``repro.nn``, ``repro.eval`` and ``repro.eval.ifeval`` export
-lazily (:mod:`repro._lazy`), so a process that imports the network front
-door does not load the trainer, merge engine, eval harness, RAG or worker
-pool — nor asyncio — and pays none of their import footprint; the eval
-harness loads the worker pool only when it runs one.  The import graph is
+``repro``, ``repro.nn``, ``repro.eval``, ``repro.eval.ifeval`` and
+``repro.serve`` export lazily (:mod:`repro._lazy`), so a process that
+imports the network front door does not load the trainer, merge engine,
+eval harness, RAG or worker pool — nor asyncio — and pays none of their
+import footprint; the eval harness loads the worker pool only when it
+runs one, and the load generator's helpers come without the engine and
+scheduler.  The import graph is
 checked in a fresh interpreter, since this suite's own process has long
 since imported everything.
 """
@@ -27,7 +29,8 @@ NOT_SERVING = ("asyncio", "ssl", "concurrent.futures", "repro.core",
                "repro.rag", "repro.parallel", "repro.pipelines",
                "repro.eval.harness", "repro.nn.trainer")
 
-LAZY_PACKAGES = ("repro", "repro.nn", "repro.eval", "repro.eval.ifeval")
+LAZY_PACKAGES = ("repro", "repro.nn", "repro.eval", "repro.eval.ifeval",
+                 "repro.serve")
 
 
 def _fresh_modules(statement: str):
@@ -47,6 +50,10 @@ def _fresh_modules(statement: str):
     # The harness's instruction constants come without the worker pool.
     ("repro.eval.harness", ("multiprocessing", "repro.parallel")),
     ("repro.eval.mcq_eval", ("multiprocessing", "repro.parallel")),
+    # The load generator's helpers come without the engine and scheduler.
+    ("repro.serve.loadgen", ("repro.serve.engine", "repro.serve.cache",
+                             "repro.serve.scheduler", "repro.serve.server",
+                             "repro.nn.infer")),
 ])
 def test_import_loads_only_what_the_module_needs(module, not_loaded):
     loaded = _fresh_modules(f"import {module}")

@@ -257,20 +257,59 @@ def test_subsumed_insert_refreshes_subsuming_entry_lru_clock():
 
 def test_vectorized_scan_matches_scalar_oracle():
     """The numpy lookup scan must be bit-identical to the Python reference,
-    including the first-max-in-insertion-order tie-break."""
+    including the first-max-in-insertion-order tie-break — also while the
+    key matrix is kept across inserts that evict (small ``max_entries``)
+    and inserts that prune the stored keys they subsume."""
     rng = np.random.default_rng(0)
     kv = [(np.ones((1, 24, 2)), np.ones((1, 24, 2)))]
-    for _ in range(40):
-        pool = PrefixCachePool(max_entries=64, min_match_tokens=2)
-        for _ in range(int(rng.integers(1, 12))):
+    evicted = pruned = 0
+    for trial in range(60):
+        pool = PrefixCachePool(max_entries=(64, 3, 5)[trial % 3],
+                               min_match_tokens=2)
+        for _ in range(int(rng.integers(1, 24))):
             length = int(rng.integers(2, 12))
             # Tiny alphabet so shared prefixes and exact ties are common.
             key = tuple(int(t) for t in rng.integers(0, 4, size=length))
+            if rng.random() < 0.3 and len(pool):
+                # Extend a stored key: the insert prunes it as subsumed.
+                stored = list(pool.entries())[
+                    int(rng.integers(0, len(pool)))]
+                key = stored + key
+            before = set(pool.entries())
             pool.insert(key, kv)
-        for _ in range(8):
-            plen = int(rng.integers(1, 14))
-            prompt = tuple(int(t) for t in rng.integers(0, 4, size=plen))
-            assert pool._scan(prompt) == pool._scan_scalar(prompt)
+            gone = before - set(pool.entries())
+            pruned += sum(key[: len(g)] == g for g in gone)
+            evicted += sum(key[: len(g)] != g for g in gone)
+            for _ in range(3):
+                plen = int(rng.integers(1, 14))
+                prompt = tuple(int(t) for t in rng.integers(0, 4, size=plen))
+                if rng.random() < 0.5 and len(pool):
+                    prompt = list(pool.entries())[
+                        int(rng.integers(0, len(pool)))] + prompt
+                assert pool._scan(prompt) == pool._scan_scalar(prompt)
+    assert evicted > 50 and pruned > 50
+
+
+def test_serving_spans_are_stored_only_in_a_caller_handle(model):
+    """A default server keeps a metrics-only private handle: a burst stores
+    no span, while counters stay live.  A server given a handle stores the
+    ``serve.step`` tree into it."""
+    from repro.obs import Observability
+
+    prompts = [(1, 7, 8, 9, 10, 11, 5, 6, 5, 6, t) for t in (7, 8, 9, 10)]
+    caller = Observability()
+    servers = {"default": InProcessServer(model, config=ServeConfig(
+                   max_batch_size=2), eos_id=2),
+               "traced": InProcessServer(model, config=ServeConfig(
+                   max_batch_size=2), eos_id=2, obs=caller)}
+    for server in servers.values():
+        for prompt in prompts:
+            server.submit(prompt, params=SamplingParams(max_new_tokens=6))
+        server.run_until_idle()
+        assert server.obs.registry.snapshot()["serve.decode_steps"] > 0
+    assert servers["default"].obs.tracer.export_spans() == []
+    names = {span.name for _, span in caller.tracer.walk()}
+    assert {"serve.step", "serve.prefill", "serve.decode_step"} <= names
 
 
 def test_prefix_cache_reuse_preserves_outputs(model, engine):

@@ -49,10 +49,9 @@ def main():
     keep = server.submit(prompts[0], params=params)
     drop = server.submit(prompts[1], params=params, deadline=0.0)
     server.run_until_idle()
-    print(f"{keep}: {server.result(keep).status:<8} "
-          f"({server.result(keep).finish_reason})")
-    print(f"{drop}: {server.result(drop).status:<8} "
-          f"({server.result(drop).finish_reason})")
+    for rid in (keep, drop):
+        completion = server.result(rid)  # handed over once
+        print(f"{rid}: {completion.status:<8} ({completion.finish_reason})")
 
     banner("4. chat sessions: turn 2 reuses turn 1's KV state")
     server = InProcessServer(model, config=ServeConfig(max_batch_size=4))

@@ -69,14 +69,11 @@ def run_obs_flow(obs: Optional[Observability] = None, epochs: int = 4,
                                            prefix_min_tokens=4),
                 clock=obs.clock, obs=obs)
             prefix = (1, 7, 8, 9, 10, 11)
-            ids = [server.submit(prefix + (3 + i,),
-                                 params=SamplingParams(
-                                     max_new_tokens=decode_tokens,
-                                     seed=seed + i))
-                   for i in range(4)]
-            server.run_until_idle()
+            for i in range(4):
+                server.submit(prefix + (3 + i,), params=SamplingParams(
+                    max_new_tokens=decode_tokens, seed=seed + i))
             summary["served_tokens"] = sum(
-                len(server.result(rid).token_ids) for rid in ids)
+                len(c.token_ids) for c in server.run_until_idle())
 
         with obs.span("obs_report.eval"):
             triplets = eval_triplets()[:items]

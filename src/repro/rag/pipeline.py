@@ -183,5 +183,5 @@ class RagAnswerService:
             ids = [self.server.submit_text(self._prompt(q, r.context),
                                            params=params)
                    for q, r in zip(questions, results)]
-            self.server.run_until_idle()
-            return [(self.server.result(rid).text or "") for rid in ids]
+            done = {c.request_id: c for c in self.server.run_until_idle()}
+            return [(done[rid].text or "") for rid in ids]

@@ -57,7 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".scheduler": ("Scheduler", "ServeConfig"),
     ".metrics": ("ServerMetrics",),
     ".sessions": ("SessionState", "SessionStore"),
-    ".server": ("InProcessServer",),
+    ".server": ("CompletionStore", "InProcessServer"),
     ".loadgen": ("ARRIVAL_PROCESSES", "WorkloadSpec", "arrival_schedule",
                  "format_benchmark_report", "percentile",
                  "run_multi_tenant_workload", "run_serial_baseline",

@@ -120,12 +120,9 @@ def _workload(cycles: List[List[int]], n_requests: int, max_new_tokens: int,
 
 
 def _drive(server, workload, tag: str) -> Dict[str, Tuple[int, ...]]:
-    ids = []
     for i, (prompt, params) in enumerate(workload):
-        ids.append(server.submit(prompt, params=params,
-                                 request_id=f"{tag}-{i}"))
-    server.run_until_idle()
-    return {rid: server.result(rid).token_ids for rid in ids}
+        server.submit(prompt, params=params, request_id=f"{tag}-{i}")
+    return {c.request_id: c.token_ids for c in server.run_until_idle()}
 
 
 def _kv_profile(model, workload, kv_mode: str,

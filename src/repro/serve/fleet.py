@@ -56,8 +56,7 @@ import hashlib
 import itertools
 import time
 from collections import OrderedDict, deque
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..nn.infer import InferenceEngine
 from ..nn.kernels import quantize_state_dict
@@ -67,6 +66,7 @@ from ..parallel.supervisor import READY, ProcessSupervisor
 from .engine import BatchedEngine, _StateModel, dequantized_oracle_model
 from .request import Completion, FinishReason, Request, RequestStatus, SamplingParams
 from .scheduler import Scheduler, ServeConfig
+from .server import CompletionStore
 
 #: Default per-replica in-flight bound, in multiples of ``max_batch_size``
 #: (one batch decoding plus one batch queued keeps admission snappy without
@@ -284,6 +284,14 @@ class FleetServer:
     """N engine replicas over inherited weights behind a consistent-hash
     router.
 
+    Completions follow the :class:`~repro.serve.server.InProcessServer`
+    rule: :meth:`result` hands one over and forgets it, and completions
+    nobody takes wait in a FIFO of
+    :data:`~repro.serve.server.RETAINED_COMPLETIONS` (64), oldest dropped
+    first and counted in ``serve.completions_dropped``.  A request id may
+    not be reused while that request is in flight; once it has finished
+    the id is free again, as on a single server.
+
     Parameters
     ----------
     model:
@@ -363,10 +371,10 @@ class FleetServer:
         self._pending: deque = deque()  # routed but not yet dispatched
         #: request_id -> (replica_id, epoch) it is currently dispatched to.
         self._inflight: "OrderedDict[str, Tuple[int, int]]" = OrderedDict()
+        #: request_id -> request, for every request in flight.
         self._requests: Dict[str, Request] = {}
-        self._results: Dict[str, Completion] = {}
+        self._results = CompletionStore(tokenizer, self.obs.registry)
         self._completions: List[Completion] = []
-        self._seen_ids: Set[str] = set()
         self._ids = itertools.count()
         self._metrics_seq = 0
         self._closed = False
@@ -457,9 +465,8 @@ class FleetServer:
     def _submit_request(self, request: Request) -> None:
         if self._closed:
             raise ValueError("fleet is closed")
-        if request.request_id in self._seen_ids:
+        if request.request_id in self._requests:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
-        self._seen_ids.add(request.request_id)
         self._requests[request.request_id] = request
         self._pending.append(request)
         self._counts["submitted"] += 1
@@ -467,11 +474,13 @@ class FleetServer:
     def step(self) -> List[Completion]:
         """Advance the router one iteration; returns new completions."""
         self._step()
-        return self._collect(self._drain_completions())
+        return self._results.collect(self._drain_completions())
 
     def run_until_idle(self, max_steps: Optional[int] = None
                        ) -> List[Completion]:
-        """Drive the fleet until all submitted work is done."""
+        """Drive the fleet until all submitted work is done; returns every
+        completion since the last step (keep this list to read back a
+        burst)."""
         out: List[Completion] = []
         steps = 0
         while not self.idle:
@@ -479,7 +488,7 @@ class FleetServer:
             steps += 1
             if max_steps is not None and steps >= max_steps:
                 break
-        out.extend(self._collect(self._drain_completions()))
+        out.extend(self._results.collect(self._drain_completions()))
         return out
 
     def complete(self, prompt_ids: Sequence[int],
@@ -490,15 +499,16 @@ class FleetServer:
         deadline = self.clock() + timeout if timeout is not None else None
         request_id = self.submit(prompt_ids, params=params,
                                  session_id=session_id, deadline=deadline)
-        self.run_until_idle()
-        return self._results[request_id]
+        return self._results.take_from(self.run_until_idle(), request_id)
 
     def result(self, request_id: str) -> Optional[Completion]:
-        return self._results.get(request_id)
+        """Hand over a finished request's completion and forget it
+        (``None`` if unfinished, already taken or dropped)."""
+        return self._results.take(request_id)
 
     def cancel(self, request_id: str) -> bool:
         found = self._cancel(request_id)
-        self._collect(self._drain_completions())
+        self._results.collect(self._drain_completions())
         return found
 
     @property
@@ -659,16 +669,6 @@ class FleetServer:
     def _drain_completions(self) -> List[Completion]:
         done, self._completions = self._completions, []
         return done
-
-    def _collect(self, completions: List[Completion]) -> List[Completion]:
-        out = []
-        for completion in completions:
-            if self.tokenizer is not None and completion.token_ids:
-                completion = replace(completion, text=self.tokenizer.decode(
-                    list(completion.token_ids)))
-            self._results[completion.request_id] = completion
-            out.append(completion)
-        return out
 
     # ------------------------------------------------------------------
     # metrics

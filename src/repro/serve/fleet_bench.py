@@ -73,13 +73,11 @@ def _workload(groups: int, requests_per_group: int, prefix_tokens: int,
 
 
 def _drive_fleet(fleet, workload, tag: str) -> Dict[str, Tuple[int, ...]]:
-    """Submit the whole burst (unique ids per round) and run it to idle."""
-    ids = []
+    """Submit the whole burst (unique ids per round) to a fleet or a
+    single server and run it to idle."""
     for i, (prompt, params) in enumerate(workload):
-        ids.append(fleet.submit(prompt, params=params,
-                                request_id=f"{tag}-{i}"))
-    fleet.run_until_idle()
-    return {rid: fleet.result(rid).token_ids for rid in ids}
+        fleet.submit(prompt, params=params, request_id=f"{tag}-{i}")
+    return {c.request_id: c.token_ids for c in fleet.run_until_idle()}
 
 
 def run_fleet_benchmark(backbone: str = "nano", replicas: int = 4,
@@ -120,12 +118,8 @@ def run_fleet_benchmark(backbone: str = "nano", replicas: int = 4,
     # path, so routing must be invisible in the output bytes).
     exact = ServeConfig(max_batch_size=4, decode_mode="exact",
                         prefix_cache=False)
-    single_server = InProcessServer(model, config=exact)
-    for i, (prompt, params) in enumerate(workload):
-        single_server.submit(prompt, params=params, request_id=f"parity-{i}")
-    single_server.run_until_idle()
-    want = {f"parity-{i}": single_server.result(f"parity-{i}").token_ids
-            for i in range(n_requests)}
+    want = _drive_fleet(InProcessServer(model, config=exact), workload,
+                        "parity")
     with FleetServer(model, n_replicas=replicas, serve_config=exact) as fleet:
         got = _drive_fleet(fleet, workload, "parity")
     parity_ok = got == want

@@ -106,9 +106,9 @@ def _parity_traffic(server) -> List[Tuple[int, ...]]:
             top_k=4 if mode == 1 else None,
             top_p=0.9 if mode == 2 else None,
             seed=60 + i)
-        rid = server.submit(prompt, params=params)
-        server.run_until_idle()
-        streams.append(tuple(server.result(rid).token_ids))
+        server.submit(prompt, params=params)
+        [completion] = server.run_until_idle()
+        streams.append(tuple(completion.token_ids))
     resume = server.chat("s", shared + [5] + list(turn1.token_ids) + [9, 10],
                          params=SamplingParams(max_new_tokens=5))
     streams.append(tuple(resume.token_ids))
@@ -125,18 +125,20 @@ def _admission_phase(model, block_tokens: int, grounding_blocks: int,
     server = _server(model, kv_mode="paged", kv_block_tokens=block_tokens,
                      prefix_cache=True, prefix_cache_entries=64)
     eng = server.engine
-    metrics = server.scheduler.metrics
+    admissions = server.obs.registry.histogram("serve.admission_s")
     glen = grounding_blocks * block_tokens
     groundings = [[1] + [int(t) for t in rng.integers(2, 30, size=glen - 1)]
                   for _ in range(n_groundings)]
 
     def admit(prompt, tag):
-        rid = server.submit(prompt, params=SamplingParams(max_new_tokens=1),
-                            request_id=tag)
-        server.run_until_idle()
-        if server.result(rid) is None:
+        """Serve one probe; returns its admission time, the growth of the
+        admission histogram's total over the probe."""
+        before = admissions.total
+        server.submit(prompt, params=SamplingParams(max_new_tokens=1),
+                      request_id=tag)
+        if not server.run_until_idle():
             raise RuntimeError(f"admission probe {tag} did not finish")
-        return metrics.admissions[-1]
+        return admissions.total - before
 
     # Warm the allocator and the interpreter on a throwaway grounding, then
     # drop its cache entries so the measured phase starts clean.

@@ -105,12 +105,10 @@ def _workload(variants, requests_per_variant: int, prefix_tokens: int,
 
 
 def _drive_lambda_fleet(fleet, workload, tag: str) -> Dict[str, Tuple[int, ...]]:
-    ids = []
     for i, (variant, prompt, params) in enumerate(workload):
-        ids.append(fleet.submit(prompt, params=params,
-                                request_id=f"{tag}-{i}", variant=variant))
-    fleet.run_until_idle()
-    return {rid: fleet.result(rid).token_ids for rid in ids}
+        fleet.submit(prompt, params=params, request_id=f"{tag}-{i}",
+                     variant=variant)
+    return {c.request_id: c.token_ids for c in fleet.run_until_idle()}
 
 
 def _drive_oracles(servers, workload, tag: str) -> Dict[str, Tuple[int, ...]]:
@@ -118,15 +116,11 @@ def _drive_oracles(servers, workload, tag: str) -> Dict[str, Tuple[int, ...]]:
     through its own in-process server, one variant after another."""
     out = {}
     for name, server in servers.items():
-        ids = []
         for i, (variant, prompt, params) in enumerate(workload):
             if variant == name:
-                rid = f"{tag}-{i}"
-                server.submit(prompt, params=params, request_id=rid)
-                ids.append(rid)
-        server.run_until_idle()
-        for rid in ids:
-            out[rid] = server.result(rid).token_ids
+                server.submit(prompt, params=params, request_id=f"{tag}-{i}")
+        out.update((c.request_id, c.token_ids)
+                   for c in server.run_until_idle())
     return out
 
 

@@ -131,9 +131,10 @@ def run_served(server: InProcessServer, spec: WorkloadSpec) -> Dict[str, float]:
                                 temperature=spec.temperature,
                                 seed=spec.seed + i)
         order.append(server.submit(prompt, params=params))
-    server.run_until_idle()
+    done = server.run_until_idle()
     elapsed = time.perf_counter() - start
-    completions = [server.result(rid) for rid in order]
+    by_id = {c.request_id: c for c in done}
+    completions = [by_id[rid] for rid in order]
     tokens = sum(len(c.token_ids) for c in completions)
     snap = server.metrics_snapshot()
     return {

@@ -50,6 +50,15 @@ class ServerMetrics:
         Optional monotonic clock.  When present, snapshots fold the open
         busy span in automatically; without it callers can pass ``now=``
         to :meth:`snapshot` explicitly.
+
+    Queue-wait and admission times live only in the ``serve.queue_wait_s``
+    and ``serve.admission_s`` histograms; :meth:`snapshot` takes their
+    means from the histograms' running totals (servers that share one
+    registry share them).  :attr:`ttfts` is the one per-request list left,
+    one float per admitted request for the life of the server: the
+    repository benchmark reads its length and slices it by index, so it
+    stays until that benchmark reads the ``serve.ttft_s`` histogram
+    instead.
     """
 
     def __init__(self, max_batch_size: int,
@@ -67,9 +76,8 @@ class ServerMetrics:
         self._admission_hist = self.registry.histogram("serve.admission_s",
                                                        LATENCY_BUCKETS)
         self._busy_gauge = self.registry.gauge("serve.busy_seconds")
+        #: Every recorded TTFT, in order (see the class docstring).
         self.ttfts: List[float] = []
-        self.queue_waits: List[float] = []
-        self.admissions: List[float] = []
         self._queue_depth_sum = 0
         self._occupancy_sum = 0
         self._busy_started: Optional[float] = None
@@ -87,13 +95,11 @@ class ServerMetrics:
         self._ttft_hist.observe(seconds)
 
     def record_queue_wait(self, seconds: float) -> None:
-        self.queue_waits.append(seconds)
         self._queue_wait_hist.observe(seconds)
 
     def record_admission(self, seconds: float) -> None:
         """Wall time of one admission: KV lookup + adoption + suffix
         prefill + pool insert.  The hot-vs-cold-prefix gap lands here."""
-        self.admissions.append(seconds)
         self._admission_hist.observe(seconds)
 
     def mark_busy(self, now: float) -> None:
@@ -159,10 +165,8 @@ class ServerMetrics:
             "tokens_per_second": (self.tokens_generated / busy
                                   if busy > 0 else 0.0),
             "mean_ttft_s": self.mean_ttft,
-            "mean_queue_wait_s": (sum(self.queue_waits) / len(self.queue_waits)
-                                  if self.queue_waits else 0.0),
-            "mean_admission_s": (sum(self.admissions) / len(self.admissions)
-                                 if self.admissions else 0.0),
+            "mean_queue_wait_s": self._queue_wait_hist.mean,
+            "mean_admission_s": self._admission_hist.mean,
             "mean_queue_depth": self.mean_queue_depth,
             "mean_batch_occupancy": self.mean_batch_occupancy,
             "max_batch_size": self.max_batch_size,

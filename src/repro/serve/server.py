@@ -8,10 +8,14 @@ surface:
 * :meth:`submit` / :meth:`step` / :meth:`run_until_idle` — the asynchronous
   interface: enqueue any number of requests, then drive the scheduler; the
   continuous batcher interleaves them automatically;
+* :meth:`result` — hands one finished completion over, once;
 * :meth:`complete` — synchronous one-call completion (submit + run);
 * :meth:`chat` — session-aware completion that carries KV state across the
   turns of a conversation;
 * :meth:`metrics_snapshot` — instrumentation as a plain dict.
+
+Finished completions live in a :class:`CompletionStore` until their caller
+takes them; :class:`~repro.serve.fleet.FleetServer` uses the same store.
 
 "Server" here means a serving *subsystem*, not a network daemon: it lives in
 the caller's process, the way the evaluation harness and examples consume
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import OrderedDict
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -29,9 +34,77 @@ from .engine import BatchedEngine
 from .request import Completion, Request, SamplingParams
 from .scheduler import Scheduler, ServeConfig
 
+#: Completions a server keeps for callers that never take them.  Past this
+#: many the oldest is dropped, so a server's retained state follows its
+#: in-flight work, not how many requests it has finished.  In-repo readers
+#: take bursts of at most a few dozen, and sizing runs saw a steady
+#: peak-memory gain only at a small cap (64, against 256).
+RETAINED_COMPLETIONS = 64
+
+
+class CompletionStore:
+    """Finished completions, each held until its caller takes it.
+
+    :meth:`collect` decodes a completion's text (when a tokenizer is set)
+    and holds it; :meth:`take` hands it over and forgets it.  Completions
+    nobody takes wait in a FIFO of :data:`RETAINED_COMPLETIONS`: the oldest
+    is dropped first, and each drop counts in the registry's
+    ``serve.completions_dropped`` counter.  Callers that read back a burst
+    should keep the list ``collect`` returned (``run_until_idle()``'s)
+    rather than rely on retention.
+    """
+
+    __slots__ = ("tokenizer", "_held", "_dropped")
+
+    def __init__(self, tokenizer, registry) -> None:
+        self.tokenizer = tokenizer
+        self._held: "OrderedDict[str, Completion]" = OrderedDict()
+        self._dropped = registry.counter("serve.completions_dropped")
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def collect(self, completions: Sequence[Completion]) -> List[Completion]:
+        """Decode and hold ``completions``; returns them decoded."""
+        out = []
+        for completion in completions:
+            if self.tokenizer is not None and completion.token_ids:
+                completion = replace(completion, text=self.tokenizer.decode(
+                    list(completion.token_ids)))
+            self._held[completion.request_id] = completion
+            if len(self._held) > RETAINED_COMPLETIONS:
+                self._held.popitem(last=False)
+                self._dropped.inc()
+            out.append(completion)
+        return out
+
+    def take(self, request_id: str) -> Optional[Completion]:
+        """Hand over ``request_id``'s completion and forget it; ``None`` if
+        it has not finished, was taken already or was dropped."""
+        return self._held.pop(request_id, None)
+
+    def take_from(self, completions: Sequence[Completion],
+                  request_id: str) -> Completion:
+        """``request_id``'s completion out of a list :meth:`collect` just
+        returned, handed over like :meth:`take` (found there even if the
+        FIFO has since dropped it)."""
+        self._held.pop(request_id, None)
+        return next(c for c in completions if c.request_id == request_id)
+
 
 class InProcessServer:
     """Batched, prefix-caching server around one model.
+
+    Finished completions are held only until their caller takes them:
+    :meth:`step`, :meth:`run_until_idle` and :meth:`complete` return them,
+    and :meth:`result` hands one over and forgets it (a second call returns
+    ``None``).  Completions nobody takes wait in a FIFO of
+    :data:`RETAINED_COMPLETIONS` (64); the oldest is dropped first and
+    counted in ``serve.completions_dropped``.  So memory follows the work in
+    flight, not the requests served, and a caller that reads back a burst
+    larger than the cap keeps ``run_until_idle()``'s list.
+    ``scheduler.metrics.ttfts`` is the one per-request record that still
+    grows (one float each); see :class:`~repro.serve.metrics.ServerMetrics`.
 
     Parameters
     ----------
@@ -84,7 +157,7 @@ class InProcessServer:
                                    draft_engine=draft_engine)
         self.obs = self.scheduler.obs
         self._ids = itertools.count()
-        self._results: Dict[str, Completion] = {}
+        self._results = CompletionStore(tokenizer, self.obs.registry)
 
     # ------------------------------------------------------------------
     # async-style interface
@@ -117,24 +190,31 @@ class InProcessServer:
         """Advance the scheduler one step; returns new completions.
 
         Drains the scheduler's completion list rather than keeping
-        ``step()``'s return value, so a completion is held once (in
-        :meth:`result`'s map), and one that landed between steps (a direct
-        ``scheduler.cancel``) is returned too.
+        ``step()``'s return value, so a completion is held once (until
+        :meth:`result` takes it), and one that landed between steps (a
+        direct ``scheduler.cancel``) is returned too.
         """
         self.scheduler.step()
-        return self._collect(self.scheduler.drain_completions())
+        return self._results.collect(self.scheduler.drain_completions())
 
     def run_until_idle(self, max_steps: Optional[int] = None) -> List[Completion]:
-        """Drive the scheduler until all submitted work is done."""
-        return self._collect(self.scheduler.run_until_idle(max_steps=max_steps))
+        """Drive the scheduler until all submitted work is done; returns
+        every completion since the last step (keep this list to read back
+        a burst)."""
+        return self._results.collect(
+            self.scheduler.run_until_idle(max_steps=max_steps))
 
     def result(self, request_id: str) -> Optional[Completion]:
-        """The completion of a finished request, if available yet."""
-        return self._results.get(request_id)
+        """Hand over a finished request's completion and forget it.
+
+        ``None`` if the request has not finished, its completion was taken
+        already, or it was dropped from the retention FIFO.
+        """
+        return self._results.take(request_id)
 
     def cancel(self, request_id: str) -> bool:
         found = self.scheduler.cancel(request_id)
-        self._collect(self.scheduler.drain_completions())
+        self._results.collect(self.scheduler.drain_completions())
         return found
 
     @property
@@ -158,8 +238,7 @@ class InProcessServer:
         deadline = self.scheduler.clock() + timeout if timeout is not None else None
         request_id = self.submit(prompt_ids, params=params,
                                  session_id=session_id, deadline=deadline)
-        self.run_until_idle()
-        return self._results[request_id]
+        return self._results.take_from(self.run_until_idle(), request_id)
 
     def complete_text(self, prompt: str,
                       params: Optional[SamplingParams] = None,
@@ -197,13 +276,3 @@ class InProcessServer:
         if self.scheduler.draft_engine is not None:
             snap["speculative"] = self.scheduler.spec_stats()
         return snap
-
-    def _collect(self, completions: List[Completion]) -> List[Completion]:
-        out = []
-        for completion in completions:
-            if self.tokenizer is not None and completion.token_ids:
-                completion = replace(
-                    completion, text=self.tokenizer.decode(list(completion.token_ids)))
-            self._results[completion.request_id] = completion
-            out.append(completion)
-        return out

@@ -8,8 +8,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.nn.tensor import set_default_dtype
+
+#: Hypothesis profiles, chosen by ``HYPOTHESIS_PROFILE``.  ``default`` keeps
+#: Hypothesis's own example count, so the suite runs as many examples as it
+#: always has; ``ci`` raises it for every test that does not pin its own
+#: ``max_examples`` (the stateful server model scales with it).
+settings.register_profile("default", max_examples=100)
+settings.register_profile("ci", max_examples=400)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -495,7 +495,7 @@ def test_admit_skips_insert_when_pool_covers(model):
     server.submit(grounding + [7, 8, 9], params=SamplingParams(max_new_tokens=2))
     server.run_until_idle()
     assert set(pool.entries()) != keys_before
-    assert server.scheduler.metrics.admissions  # histogram is being fed
+    assert server.obs.registry.histogram("serve.admission_s").count  # fed
     assert "mean_admission_s" in server.metrics_snapshot()
 
 

@@ -321,15 +321,16 @@ def test_prefix_cache_reuse_preserves_outputs(model, engine):
         prefix_cache=False, max_batch_size=4), eos_id=2)
     cached = InProcessServer(model, config=ServeConfig(
         prefix_cache=True, prefix_min_tokens=4, max_batch_size=4), eos_id=2)
-    outs = {}
+    outs, completions = {}, {}
     for name, server in (("uncached", uncached), ("cached", cached)):
         ids = [server.submit(p, params=SamplingParams(max_new_tokens=6))
                for p in prompts]
         server.run_until_idle()
-        outs[name] = [list(server.result(r).token_ids) for r in ids]
+        # result() hands each completion over once: bind it here.
+        completions[name] = [server.result(r) for r in ids]
+        outs[name] = [list(c.token_ids) for c in completions[name]]
     assert outs["cached"] == outs["uncached"]
-    completions = [cached.result(f"req-{i}") for i in range(len(prompts))]
-    assert sum(c.cached_prefix_tokens for c in completions) > 0
+    assert sum(c.cached_prefix_tokens for c in completions["cached"]) > 0
     assert cached.metrics_snapshot()["prefix_hit_rate"] > 0
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-Every ``bench_*`` file reproduces one table or figure of the paper
-(DESIGN.md §3).  Each bench:
+Every ``bench_*`` file reproduces one table, figure or claim of the paper,
+or an ablation of one of its design choices (DESIGN.md §3).  Speed and
+parity claims about the serving and merge substrate are not here: they
+are ``repro bench NAME`` drivers (:mod:`repro.bench`).  Each bench:
 
 * builds (or loads from cache) the models it needs through the shared zoo;
 * runs the experiment through :mod:`repro.pipelines.experiment`, printing a

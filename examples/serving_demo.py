@@ -12,8 +12,8 @@ Run:  python examples/serving_demo.py
 
 from repro.nn.transformer import TransformerLM, preset_config
 from repro.serve import (InProcessServer, SamplingParams, ServeConfig,
-                         WorkloadSpec, format_benchmark_report,
-                         run_serve_benchmark, synthetic_prompts)
+                         WorkloadSpec, synthetic_prompts)
+from repro.serve.serve_bench import format_serve_report, run_serve_benchmark
 
 
 def banner(title):
@@ -21,15 +21,14 @@ def banner(title):
 
 
 def main():
-    model = TransformerLM(preset_config("nano", vocab_size=128, seed=0))
-
     banner("1. serial vs batched+prefix-cached throughput")
+    # The same random-weight nano model and burst this demo serves below.
+    print(format_serve_report(run_serve_benchmark(repeats=3)))
+
+    model = TransformerLM(preset_config("nano", vocab_size=128, seed=0))
     spec = WorkloadSpec(n_requests=16, shared_prefix_tokens=120,
                         unique_tokens=12, max_new_tokens=24,
-                        vocab_size=100, seed=3)
-    result = run_serve_benchmark(model, spec,
-                                 config=ServeConfig(max_batch_size=16))
-    print(format_benchmark_report(result, spec))
+                        vocab_size=128, seed=0)
 
     banner("2. priorities: a late VIP request overtakes the queue")
     server = InProcessServer(model, config=ServeConfig(max_batch_size=1))

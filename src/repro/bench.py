@@ -1,10 +1,11 @@
 """Shared harness of the component benchmarks behind ``repro bench NAME``.
 
-The seven benchmark modules
-(``serve/{decode,kvplane,fleet,lambda}_bench.py``, ``serve/net/bench.py``,
-``parallel/bench.py``, ``nn/train_bench.py``) each measure one subsystem
-against its oracle or baseline.  This module is the
-one place their measurement method and report schema live:
+The nine benchmark modules
+(``serve/{decode,kvplane,fleet,lambda,serve}_bench.py``,
+``serve/net/bench.py``, ``core/merge_bench.py``, ``parallel/bench.py``,
+``nn/train_bench.py``) each measure one subsystem against its oracle or
+baseline.  This module is the one place their measurement method and
+report schema live:
 
 * :func:`paired` — the timing protocol: one untimed warm-up per arm, then
   rounds that run both arms back to back with the garbage collector

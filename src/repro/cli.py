@@ -7,11 +7,9 @@ Subcommands mirror how an adopter would actually use the release:
 * ``zoo``     — build / list the model-zoo checkpoints;
 * ``chat``    — one-shot grounded question answering with a zoo model;
 * ``table``   — regenerate one of the paper's tables or figures;
-* ``merge-sweep`` — time a λ sweep, naive loop vs the merge engine;
-* ``serve-bench`` — serial vs. batched+prefix-cached serving throughput;
-* ``bench NAME`` — one gated component benchmark (decode, kvplane, fleet,
-  lambda, net, parallel, train; see :mod:`repro.bench`), exit 1 if an
-  applied gate fails;
+* ``bench NAME`` — one gated component benchmark (decode, fleet, kvplane,
+  lambda, merge, net, parallel, serve, train; see :mod:`repro.bench`),
+  exit 1 if an applied gate fails;
 * ``obs-report`` — end-to-end train→merge→serve→eval→rag flow with the
   observability layer on: span tree + metric registry snapshot.
 """
@@ -147,97 +145,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_merge_sweep(args: argparse.Namespace) -> int:
-    from collections import OrderedDict
-
-    import numpy as np
-
-    from .bench import paired
-    from .core.geodesic import geodesic_merge
-    from .core.merge_engine import GeodesicMergeEngine
-    from .nn.transformer import preset_config
-
-    if (args.chip is None) != (args.instruct is None):
-        print("error: pass both --chip and --instruct, or neither",
-              file=sys.stderr)
-        return 2
-    if args.chip:
-        chip_model, _ = load_model(args.chip)
-        instruct_model, _ = load_model(args.instruct)
-        if chip_model.config != instruct_model.config:
-            print("error: models have different architectures", file=sys.stderr)
-            return 2
-        chip = chip_model.state_dict()
-        instruct = instruct_model.state_dict()
-        source = f"{args.chip} / {args.instruct}"
-    else:
-        config = preset_config(args.backbone, vocab_size=args.vocab, seed=0)
-        chip = TransformerLM(config).state_dict()
-        config_b = preset_config(args.backbone, vocab_size=args.vocab, seed=1)
-        instruct = TransformerLM(config_b).state_dict()
-        source = f"random {args.backbone} pair (seeds 0/1, vocab {args.vocab})"
-    lams = [i / (args.points - 1) for i in range(args.points)]
-    results = {}
-
-    def naive_sweep():
-        results["naive"] = [
-            OrderedDict((key, geodesic_merge(chip[key], instruct[key], lam))
-                        for key in chip) for lam in lams]
-
-    def engine_sweep():
-        results["engine"] = GeodesicMergeEngine(chip, instruct).sweep(
-            lams, n_workers=args.workers)
-
-    n_params = sum(int(np.asarray(w).size) for w in chip.values())
-    print(f"merge sweep: {source}, {len(chip)} tensors, "
-          f"{n_params:,} params, {args.points} lambda points, "
-          f"{args.repeats} paired rounds")
-    timing = paired(naive_sweep, engine_sweep, args.repeats)
-    naive_t, engine_t = timing.seconds
-    matches = all(
-        np.allclose(results["naive"][i][key], results["engine"][i][key],
-                    rtol=1e-10, atol=1e-13)
-        for i in range(len(lams)) for key in chip)
-    print(f"  naive per-lambda loop : {naive_t * 1e3:8.1f} ms")
-    print(f"  merge engine sweep    : {engine_t * 1e3:8.1f} ms")
-    print(f"  speedup               : {timing.ratio:8.2f}x median")
-    print(f"  outputs allclose      : {matches}")
-    return 0 if matches else 1
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .nn.transformer import preset_config
-    from .serve import (ServeConfig, WorkloadSpec, format_benchmark_report,
-                        run_serve_benchmark)
-
-    config = preset_config(args.backbone, vocab_size=args.vocab, seed=args.seed)
-    model = TransformerLM(config)
-    max_prompt = args.prefix_tokens + args.unique_tokens
-    if max_prompt + args.decode_tokens > config.max_seq_len:
-        print(f"error: prompt ({max_prompt}) + decode ({args.decode_tokens}) "
-              f"tokens exceed the {args.backbone} context window "
-              f"({config.max_seq_len})", file=sys.stderr)
-        return 2
-    try:
-        spec = WorkloadSpec(n_requests=args.requests,
-                            shared_prefix_tokens=args.prefix_tokens,
-                            unique_tokens=args.unique_tokens,
-                            max_new_tokens=args.decode_tokens,
-                            vocab_size=min(args.vocab, config.vocab_size),
-                            seed=args.seed)
-        serve_config = ServeConfig(max_batch_size=args.max_batch,
-                                   decode_mode=args.decode_mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = run_serve_benchmark(model, spec, config=serve_config)
-    print(f"backbone: {args.backbone} (dim={config.dim}, "
-          f"layers={config.n_layers}, ctx={config.max_seq_len}), "
-          f"max batch {args.max_batch}, decode mode {args.decode_mode}")
-    print(format_benchmark_report(result, spec))
-    return 0
-
-
 def _cmd_serve_net(args: argparse.Namespace) -> int:
     """Run the socket front door in the foreground until SIGINT/SIGTERM,
     then drain gracefully (finish in-flight work, refuse new work)."""
@@ -342,8 +249,10 @@ BENCHMARKS = {
     "kvplane": ("repro.serve.kvplane_bench", False),
     "fleet": ("repro.serve.fleet_bench", True),
     "lambda": ("repro.serve.lambda_bench", True),
+    "merge": ("repro.core.merge_bench", False),
     "net": ("repro.serve.net.bench", False),
     "parallel": ("repro.parallel.bench", True),
+    "serve": ("repro.serve.serve_bench", False),
     "train": ("repro.nn.train_bench", False),
 }
 
@@ -404,7 +313,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     try:
         result = run(**kwargs)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(getattr(module, f"format_{args.name}_report")(result))
@@ -516,48 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                                               "complexity"))
     p_table.add_argument("--items", type=int, default=None)
     p_table.set_defaults(fn=_cmd_table)
-
-    p_msweep = sub.add_parser(
-        "merge-sweep",
-        help="time a lambda sweep: naive per-lambda merges vs the merge engine")
-    p_msweep.add_argument("--backbone", default="grande",
-                          help="preset architecture for the random model pair")
-    p_msweep.add_argument("--chip", type=Path, default=None,
-                          help="chip checkpoint (with --instruct; replaces "
-                               "the random pair)")
-    p_msweep.add_argument("--instruct", type=Path, default=None,
-                          help="instruct checkpoint (with --chip)")
-    p_msweep.add_argument("--points", type=int, default=11,
-                          help="number of lambda points in [0, 1]")
-    p_msweep.add_argument("--repeats", type=int, default=3,
-                          help="paired timing rounds (median ratio)")
-    p_msweep.add_argument("--workers", type=int, default=None,
-                          help="fork this many sweep worker processes")
-    p_msweep.add_argument("--vocab", type=int, default=512,
-                          help="vocab size of the random model pair")
-    p_msweep.set_defaults(fn=_cmd_merge_sweep)
-
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark batched serving against the serial engine")
-    p_serve.add_argument("--backbone", default="nano",
-                         choices=("nano", "micro", "grande"))
-    p_serve.add_argument("--requests", type=int, default=16,
-                         help="requests in the synthetic burst")
-    p_serve.add_argument("--prefix-tokens", type=int, default=120,
-                         help="shared instruction/context prefix length")
-    p_serve.add_argument("--unique-tokens", type=int, default=12,
-                         help="per-request unique prompt tail length")
-    p_serve.add_argument("--decode-tokens", type=int, default=24,
-                         help="decode budget per request")
-    p_serve.add_argument("--max-batch", type=int, default=16,
-                         help="continuous-batching slot count")
-    p_serve.add_argument("--decode-mode", default="fused",
-                         choices=("fused", "exact"))
-    p_serve.add_argument("--vocab", type=int, default=128,
-                         help="model vocabulary size (random weights)")
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.set_defaults(fn=_cmd_serve_bench)
 
     p_net = sub.add_parser(
         "serve-net",

@@ -20,7 +20,7 @@ Quickstart::
     completions = server.run_until_idle()
     print(server.metrics_snapshot()["tokens_per_second"])
 
-See DESIGN.md §6 and ``repro serve-bench`` for the benchmark workflow.
+See DESIGN.md §6 and ``repro bench serve`` for the benchmark workflow.
 
 The network front door — real sockets, streaming, multi-tenant admission
 control — lives in :mod:`repro.serve.net` (DESIGN.md §9, ``repro
@@ -59,8 +59,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".sessions": ("SessionState", "SessionStore"),
     ".server": ("CompletionStore", "InProcessServer"),
     ".loadgen": ("ARRIVAL_PROCESSES", "WorkloadSpec", "arrival_schedule",
-                 "format_benchmark_report", "percentile",
-                 "run_multi_tenant_workload", "run_serial_baseline",
-                 "run_serve_benchmark", "run_served", "run_socket_workload",
-                 "synthetic_prompts"),
+                 "percentile", "run_multi_tenant_workload",
+                 "run_socket_workload", "synthetic_prompts"),
 })

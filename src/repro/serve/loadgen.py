@@ -1,4 +1,4 @@
-"""Deterministic synthetic load generation and the serving benchmarks.
+"""Deterministic synthetic load generation and the socket load drivers.
 
 The workload models the traffic shape ChipAlign deployments actually see: a
 fleet of engineers asking questions through the same assistant, so every
@@ -7,18 +7,16 @@ diverges only in the question tail.  Prompts are built directly in token-id
 space from a seeded RNG, so a given :class:`WorkloadSpec` always produces
 the same requests — no tokenizer or trained checkpoint required.
 
-Two drive paths:
-
-* :func:`run_serve_benchmark` — in-process: the serial
-  :class:`~repro.nn.infer.InferenceEngine` baseline vs. an
-  :class:`~repro.serve.server.InProcessServer`;
-* :func:`run_socket_workload` / :func:`run_multi_tenant_workload` — over
-  real sockets against a :class:`~repro.serve.net.server.NetServer`, with
-  **open-loop** arrival processes (:func:`arrival_schedule`: batch, Poisson,
-  or bursty) — requests launch at their scheduled instants regardless of
-  completions, the arrival discipline that actually exposes queueing
-  collapse.  Arrival schedules are plain seeded arrays, exportable in
-  benchmark artifacts and replayable bit-for-bit with ``arrivals=``.
+The in-process serving benchmark (:mod:`repro.serve.serve_bench`) runs
+these prompts through the serial engine and an
+:class:`~repro.serve.server.InProcessServer`.  Here live the drivers over
+real sockets: :func:`run_socket_workload` / :func:`run_multi_tenant_workload`
+against a :class:`~repro.serve.net.server.NetServer`, with **open-loop**
+arrival processes (:func:`arrival_schedule`: batch, Poisson, or bursty) —
+requests launch at their scheduled instants regardless of completions, the
+arrival discipline that actually exposes queueing collapse.  Arrival
+schedules are plain seeded arrays, exportable in benchmark artifacts and
+replayable bit-for-bit with ``arrivals=``.
 """
 
 from __future__ import annotations
@@ -26,16 +24,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .request import SamplingParams
-
-if TYPE_CHECKING:
-    from ..nn.infer import InferenceEngine
-    from .scheduler import ServeConfig
-    from .server import InProcessServer
 
 #: Arrival processes understood by :func:`arrival_schedule`.
 ARRIVAL_PROCESSES = ("batch", "poisson", "bursty")
@@ -57,7 +48,7 @@ class WorkloadSpec:
     temperature: float = 0.0
     seed: int = 0
     #: Arrival process for socket workloads: "batch" (all at t=0, the
-    #: closed-burst shape :func:`run_serve_benchmark` uses), "poisson"
+    #: closed-burst shape of the in-process serving benchmark), "poisson"
     #: (open-loop exponential inter-arrivals), or "bursty" (groups of
     #: ``burst_size`` arriving together every ``burst_gap_s``).
     arrival: str = "batch"
@@ -97,103 +88,6 @@ def synthetic_prompts(spec: WorkloadSpec) -> List[Tuple[int, ...]]:
         tail = tuple(int(t) for t in rng.integers(1, high, size=spec.unique_tokens))
         prompts.append(prefix + tail)
     return prompts
-
-
-def run_serial_baseline(engine: InferenceEngine, spec: WorkloadSpec,
-                        eos_id: Optional[int] = None) -> Dict[str, float]:
-    """One-request-at-a-time generation with a fresh KV cache per call."""
-    prompts = synthetic_prompts(spec)
-    start = time.perf_counter()
-    tokens = 0
-    outputs = []
-    for i, prompt in enumerate(prompts):
-        out = engine.generate(prompt, max_new_tokens=spec.max_new_tokens,
-                              temperature=spec.temperature, eos_id=eos_id,
-                              rng=np.random.default_rng(spec.seed + i))
-        outputs.append(out)
-        tokens += len(out)
-    elapsed = time.perf_counter() - start
-    return {
-        "seconds": elapsed,
-        "tokens": tokens,
-        "tokens_per_second": tokens / elapsed if elapsed > 0 else 0.0,
-        "outputs": outputs,
-    }
-
-
-def run_served(server: InProcessServer, spec: WorkloadSpec) -> Dict[str, float]:
-    """The same burst through the batched, prefix-caching server."""
-    prompts = synthetic_prompts(spec)
-    start = time.perf_counter()
-    order = []
-    for i, prompt in enumerate(prompts):
-        params = SamplingParams(max_new_tokens=spec.max_new_tokens,
-                                temperature=spec.temperature,
-                                seed=spec.seed + i)
-        order.append(server.submit(prompt, params=params))
-    done = server.run_until_idle()
-    elapsed = time.perf_counter() - start
-    by_id = {c.request_id: c for c in done}
-    completions = [by_id[rid] for rid in order]
-    tokens = sum(len(c.token_ids) for c in completions)
-    snap = server.metrics_snapshot()
-    return {
-        "seconds": elapsed,
-        "tokens": tokens,
-        "tokens_per_second": tokens / elapsed if elapsed > 0 else 0.0,
-        "outputs": [list(c.token_ids) for c in completions],
-        "mean_ttft_s": snap["mean_ttft_s"],
-        "mean_batch_occupancy": snap["mean_batch_occupancy"],
-        "prefix_hit_rate": snap.get("prefix_hit_rate", 0.0),
-        "cached_prefix_tokens": snap["cached_prefix_tokens"],
-        "metrics": snap,
-    }
-
-
-def run_serve_benchmark(model, spec: WorkloadSpec = WorkloadSpec(),
-                        config: Optional[ServeConfig] = None,
-                        eos_id: Optional[int] = None) -> Dict[str, Dict[str, float]]:
-    """Serial baseline vs. batched+prefix-cached serving on one workload.
-
-    Returns ``{"serial": …, "served": …, "speedup": x, "registry": …}``
-    where ``registry`` is the served path's full
-    :class:`~repro.obs.MetricRegistry` snapshot (counters, gauges, latency
-    histograms).  The serial baseline reuses the *single-sequence* engine
-    inside the server's batched engine, so both paths run identical weights.
-    """
-    from .scheduler import ServeConfig
-    from .server import InProcessServer
-
-    config = config or ServeConfig(max_batch_size=min(8, spec.n_requests))
-    server = InProcessServer(model, config=config, eos_id=eos_id)
-    serial = run_serial_baseline(server.engine, spec, eos_id=eos_id)
-    served = run_served(server, spec)
-    speedup = (served["tokens_per_second"] / serial["tokens_per_second"]
-               if serial["tokens_per_second"] > 0 else 0.0)
-    return {"serial": serial, "served": served, "speedup": speedup,
-            "registry": server.obs.registry.snapshot()}
-
-
-def format_benchmark_report(result: Dict[str, Dict[str, float]],
-                            spec: WorkloadSpec) -> str:
-    """Human-readable table of a :func:`run_serve_benchmark` result."""
-    serial, served = result["serial"], result["served"]
-    lines = [
-        f"workload: {spec.n_requests} requests, "
-        f"{spec.shared_prefix_tokens}+{spec.unique_tokens} prompt tokens "
-        f"(shared+unique), {spec.max_new_tokens} decode tokens",
-        f"{'path':<10} {'tokens':>7} {'seconds':>9} {'tok/s':>9}",
-        f"{'serial':<10} {serial['tokens']:>7} {serial['seconds']:>9.3f} "
-        f"{serial['tokens_per_second']:>9.1f}",
-        f"{'served':<10} {served['tokens']:>7} {served['seconds']:>9.3f} "
-        f"{served['tokens_per_second']:>9.1f}",
-        f"speedup: {result['speedup']:.2f}x   "
-        f"prefix hit rate: {served['prefix_hit_rate']:.2f}   "
-        f"cached prefix tokens: {served['cached_prefix_tokens']}   "
-        f"mean TTFT: {served['mean_ttft_s'] * 1000:.1f} ms   "
-        f"batch occupancy: {served['mean_batch_occupancy']:.1f}",
-    ]
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """CLI tests (merge and merge-many commands run fully offline on tiny models)."""
 
+import argparse
+import importlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.bench import failed
+from repro.cli import BENCHMARKS, build_parser, main
 from repro.nn.checkpoint import load_model, save_model
 from repro.nn.transformer import TransformerConfig, TransformerLM
 
@@ -24,14 +29,23 @@ def checkpoints(tmp_path):
 
 def test_parser_has_all_commands():
     parser = build_parser()
-    text = parser.format_help()
-    for command in ("merge", "merge-many", "sweep", "zoo", "chat", "table",
-                    "merge-sweep", "serve-bench", "obs-report", "bench"):
-        assert command in text
-    assert "bench-lambda" not in text
-    for name in ("decode", "kvplane", "fleet", "lambda", "net", "parallel",
-                 "train"):
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    # Exactly these: every timed claim runs through ``repro bench NAME``,
+    # so the old per-benchmark subcommands are gone.
+    assert set(subparsers.choices) == {
+        "merge", "merge-many", "sweep", "zoo", "chat", "table", "serve-net",
+        "serve-fleet", "bench", "obs-report"}
+    for name in ("decode", "kvplane", "fleet", "lambda", "merge", "net",
+                 "parallel", "serve", "train"):
         assert parser.parse_args(["bench", name]).name == name
+
+
+def test_every_benchmark_module_exposes_its_driver():
+    for name, (module_name, _) in BENCHMARKS.items():
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, f"run_{name}_benchmark"))
+        assert callable(getattr(module, f"format_{name}_report"))
 
 
 def test_obs_report_command(capsys, tmp_path):
@@ -86,22 +100,47 @@ def test_merge_rejects_architecture_mismatch(checkpoints, tmp_path, capsys):
     assert code == 2
 
 
-def test_merge_sweep_command(checkpoints, capsys):
-    """merge-sweep on two tiny checkpoints: reports timings and exits 0
-    only when the engine's sweep matches the naive loop."""
+def test_bench_merge_cli_smoke(checkpoints, tmp_path, capsys):
+    """``repro bench merge`` on two tiny checkpoints: the engine's sweep
+    matches the naive loop, and the exit code follows the gates (at this
+    toy size the engine may miss the speedup floor)."""
     _, paths, _ = checkpoints
-    code = main(["merge-sweep", "--chip", str(paths["chip"]),
-                 "--instruct", str(paths["instruct"]),
-                 "--points", "5", "--repeats", "1"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "outputs allclose      : True" in out
-    assert "speedup" in out
+    out = tmp_path / "merge.json"
+    code = main(["bench", "merge", f"chip={paths['chip']}",
+                 f"instruct={paths['instruct']}", "points=5", "repeats=1",
+                 "--json", str(out)])
+    result = json.loads(out.read_text())
+    assert code == (1 if failed(result["gates"]) else 0)
+    gates = {g["metric"]: g for g in result["gates"]}
+    assert gates["allclose"]["ok"]
+    assert result["points"] == 5 and result["header"]["cpu_count"] >= 1
+    assert "speedup" in capsys.readouterr().out
 
 
-def test_merge_sweep_rejects_lone_checkpoint(checkpoints, capsys):
+def test_bench_merge_rejects_lone_checkpoint(checkpoints, capsys):
     _, paths, _ = checkpoints
-    assert main(["merge-sweep", "--chip", str(paths["chip"])]) == 2
+    assert main(["bench", "merge", f"chip={paths['chip']}"]) == 2
+    assert "chip= and instruct=" in capsys.readouterr().err
+
+
+def test_bench_serve_cli_smoke(tmp_path, capsys):
+    out = tmp_path / "serve.json"
+    code = main(["bench", "serve", "requests=3", "prefix_tokens=10",
+                 "unique_tokens=2", "decode_tokens=3", "max_batch=3",
+                 "vocab=24", "repeats=1", "--json", str(out)])
+    result = json.loads(out.read_text())
+    assert code == (1 if failed(result["gates"]) else 0)
+    assert result["header"]["cpu_count"] >= 1
+    gates = {g["metric"]: g for g in result["gates"]}
+    assert gates["parity.exact"]["ok"]
+    assert "speedup" in capsys.readouterr().out
+
+
+def test_bench_serve_rejects_overlong_prompt(capsys):
+    # nano's context window is 176 tokens.
+    assert main(["bench", "serve", "prefix_tokens=170", "unique_tokens=4",
+                 "decode_tokens=8"]) == 2
+    assert "context window" in capsys.readouterr().err
 
 
 def test_merge_many_command(checkpoints, capsys):

@@ -7,9 +7,9 @@ from repro.nn.infer import InferenceEngine
 from repro.serve import (BatchedEngine, InProcessServer, PrefixCachePool,
                          Request, RequestStatus, SamplingParams, Scheduler,
                          ServeConfig, SessionStore, WorkloadSpec,
-                         common_prefix_length, run_serve_benchmark,
-                         synthetic_prompts)
+                         common_prefix_length, synthetic_prompts)
 from repro.serve.request import FinishReason
+from repro.serve.serve_bench import run_serve_benchmark
 from tests.conftest import ManualClock
 
 
@@ -583,22 +583,27 @@ def test_metrics_snapshot_keys_and_counts(model):
     assert 0 < snap["mean_batch_occupancy"] <= 2
 
 
-def test_run_serve_benchmark_structure(model):
-    spec = WorkloadSpec(n_requests=4, shared_prefix_tokens=12,
-                        unique_tokens=3, max_new_tokens=4, vocab_size=20,
-                        seed=1)
-    result = run_serve_benchmark(model, spec,
-                                 config=ServeConfig(max_batch_size=4))
-    assert set(result) == {"serial", "served", "speedup", "registry"}
-    assert result["serial"]["tokens"] > 0
-    assert result["served"]["tokens"] > 0
+def test_run_serve_benchmark_structure():
+    result = run_serve_benchmark(requests=4, prefix_tokens=12,
+                                 unique_tokens=3, decode_tokens=4,
+                                 max_batch=4, vocab=20, repeats=1, seed=1)
+    gates = {g["metric"]: g for g in result["gates"]}
+    assert {"speedup", "prefix_hit_rate", "served_tokens", "parity.exact",
+            "served_agreement", "obs.overhead_ratio",
+            "parity.engine_vs_autograd", "engine.speedup"} <= set(gates)
+    # Exactness holds at any size; only the timing gates depend on it.
+    assert gates["parity.exact"]["ok"]
+    assert gates["parity.engine_vs_autograd"]["ok"]
+    assert gates["served_tokens"]["ok"]
+    assert result["serial"]["tokens"] == 16
     assert result["speedup"] > 0
-    assert len(synthetic_prompts(spec)) == 4
-    # The registry snapshot mirrors the classic metrics snapshot.
+    assert len(result["timing"]["ratios"]) == 1
+    # The registry snapshot is the first served burst's.
     assert result["registry"]["serve.requests_finished"] == 4
     assert (result["registry"]["serve.tokens_generated"]
             == result["served"]["tokens"])
     assert result["registry"]["serve.ttft_s"]["count"] == 4
+    assert result["header"]["cpu_count"] >= 1
 
 
 def test_request_validation():

@@ -8,10 +8,12 @@ cancel/disconnect slot reclamation, slow-consumer shedding, and graceful
 drain with a conservation check.
 """
 
+import json
 import selectors
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -830,6 +832,24 @@ def test_arrival_schedules_shapes_and_determinism():
         WorkloadSpec(arrival="uniform")
     with pytest.raises(ValueError):
         WorkloadSpec(arrival="poisson", arrival_rate_rps=0)
+
+
+def test_arrival_schedules_replay_from_snapshot():
+    """BENCH_net.json's arrival arrays replay the exact same schedule the
+    run used (the streaming phase's spec in :mod:`repro.serve.net.bench`)."""
+    spec = WorkloadSpec(n_requests=16, shared_prefix_tokens=48,
+                        unique_tokens=12, max_new_tokens=16, vocab_size=100,
+                        seed=3, arrival="poisson", arrival_rate_rps=64.0)
+    fresh = arrival_schedule(spec)
+    # Round-trip through JSON, as the snapshot stores them.
+    restored = tuple(json.loads(json.dumps(list(fresh))))
+    assert restored == fresh
+    snapshot = Path(__file__).resolve().parent.parent / "BENCH_net.json"
+    if snapshot.exists():
+        saved = json.loads(snapshot.read_text())
+        assert tuple(saved["streaming"]["arrivals"]) == fresh, (
+            "committed BENCH_net.json streaming arrivals no longer match "
+            "the seeded schedule — spec or RNG stream drifted")
 
 
 def test_socket_workload_replays_explicit_arrivals(model):
